@@ -1,8 +1,8 @@
 """Generate ``benchmarks/BASELINE_metrics.json`` — the scientific baseline.
 
 Runs the paper's headline configuration cells in-process (seeds 0..N-1,
-batch engine where available) and snapshots their episode-level metric
-distributions with seeded bootstrap CIs via
+on the engine :func:`repro.eval.episodes.run_seeds` picks) and snapshots
+their episode-level metric distributions with seeded bootstrap CIs via
 :func:`repro.obsv.compare.metric_snapshot`. The committed snapshot is the
 baseline side of ``python -m repro.obsv regress <current> <baseline>
 --metrics``: any future build whose cell means leave these CIs fails the
@@ -15,10 +15,10 @@ attacks (claims anchor to EXPERIMENTS.md):
 * end-to-end driver, nominal and under the camera attacker at eps 1.0
   and 0.5, plus the IMU attacker at eps 1.0.
 
-Cells whose attacker checkpoint is missing are skipped with a notice (a
-fresh clone without ``examples/train_all.py`` artifacts still produces
-the nominal-only baseline). Regenerate after an intentional behaviour
-change:
+A missing checkpoint or a cell without complete episodes is an error:
+the script lists what is missing and exits nonzero, so the gate never
+passes on a snapshot that silently lost cells. Regenerate after an
+intentional behaviour change:
 
     PYTHONPATH=src python benchmarks/make_baseline_metrics.py
 
@@ -33,9 +33,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.eval import run_episode, run_episode_batch
+from repro.eval.episodes import run_seeds
 from repro.experiments import registry
-from repro.obsv.compare import StatConfig, metric_snapshot
+from repro.obsv.compare import StatConfig, cell_key, metric_snapshot
 from repro.obsv.loader import split_episodes
 from repro.telemetry.trace import TraceWriter
 
@@ -49,8 +49,8 @@ DEFAULT_OUT = Path(__file__).resolve().parent / "BASELINE_metrics.json"
 def _cells() -> list[dict]:
     """The configuration cells the baseline covers.
 
-    ``attacker`` is a zero-arg factory (checkpoint loading deferred so
-    missing artifacts skip the cell instead of crashing the run).
+    ``attacker`` is a zero-arg factory (checkpoint loading deferred until
+    ``needs`` has been checked).
     """
     return [
         {
@@ -94,20 +94,8 @@ def _cells() -> list[dict]:
 
 def run_cell(cell: dict, episodes: int) -> tuple[list, dict | None]:
     """Run one cell and return (episode traces, provenance payload)."""
-    attacker = cell["attacker"]() if cell["attacker"] else None
     writer = TraceWriter(None)
-    seeds = list(range(episodes))
-    try:
-        run_episode_batch(
-            cell["victim"], attacker=attacker, seeds=seeds, trace=writer
-        )
-    except TypeError:
-        # No batched twin for this agent: scalar fallback, same seeds.
-        for seed in seeds:
-            run_episode(
-                cell["victim"], attacker=attacker, seed=seed,
-                trace=writer, episode_id=seed,
-            )
+    run_seeds(cell["victim"], cell["attacker"], range(episodes), trace=writer)
     provenance = next(
         (e for e in writer.events if e.get("event") == "provenance"), None
     )
@@ -134,29 +122,33 @@ def main(argv: list[str] | None = None) -> int:
     all_episodes = []
     claims: dict[str, str] = {}
     provenance = None
-    for cell in _cells():
-        missing = [n for n in cell["needs"] if not registry.has_artifact(n)]
-        if missing:
-            print(f"skip (missing {', '.join(missing)}): {cell['claim']}")
-            continue
+    cells = _cells()
+    missing = sorted(
+        {n for c in cells for n in c["needs"] if not registry.has_artifact(n)}
+    )
+    if missing:
+        print(
+            f"missing artifacts: {', '.join(missing)} — run "
+            "examples/train_all.py; nothing written",
+            file=sys.stderr,
+        )
+        return 1
+    for cell in cells:
         episodes, cell_provenance = run_cell(cell, args.episodes)
         provenance = provenance or cell_provenance
         complete = [e for e in episodes if e.complete]
         if not complete:
-            print(f"skip (no complete episodes): {cell['claim']}")
-            continue
+            print(
+                f"no complete episodes: {cell['claim']}; nothing written",
+                file=sys.stderr,
+            )
+            return 1
         first = complete[0]
-        from repro.obsv.compare import cell_key
-
         claims[cell_key(first.victim, first.attacker, first.budget)] = (
             cell["claim"]
         )
         all_episodes.extend(complete)
         print(f"ran {len(complete)} episodes: {cell['claim']}")
-
-    if not all_episodes:
-        print("no cells produced episodes; nothing written", file=sys.stderr)
-        return 1
 
     snapshot = metric_snapshot(
         all_episodes, stat, claims=claims, provenance=provenance

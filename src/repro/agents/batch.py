@@ -9,7 +9,7 @@ tracks its scalar counterpart to numerical tolerance (see
 
 Use :func:`as_batch_actor` to derive the twin from a configured scalar
 agent; unsupported agents raise :class:`TypeError` rather than silently
-degrading.
+degrading (:func:`repro.eval.batch.supports_batch` decides which).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.modular.agent import ModularAgent, ModularAgentConfig
 from repro.agents.modular.behavior import BatchBehaviorPlanner
 from repro.agents.modular.pid import BatchPid
-from repro.rl.policy import SquashedGaussianPolicy
 from repro.sim.config import EPSILON_MECH
 
 
@@ -77,15 +76,6 @@ class BatchPolicyActor:
     name = "end-to-end"
 
     def __init__(self, agent: EndToEndAgent, n: int) -> None:
-        if not isinstance(agent.policy, SquashedGaussianPolicy):
-            raise TypeError(
-                "batched rollout requires a SquashedGaussianPolicy; got "
-                f"{type(agent.policy).__name__}"
-            )
-        if not agent.deterministic:
-            raise TypeError(
-                "batched rollout supports deterministic driving policies only"
-            )
         template = agent.observation
         self.policy = agent.policy
         self.observation = DrivingObservation(
@@ -109,15 +99,17 @@ class BatchPolicyActor:
 def as_batch_actor(victim, batch):
     """The lockstep twin of a scalar driving agent, sized for ``batch``.
 
-    Raises :class:`TypeError` for agents with no batched path (custom
-    agents, stochastic policies, progressive columns).
+    Raises :class:`TypeError` with the reason from
+    :func:`repro.eval.batch.unbatchable_victim` for agents with no batched
+    path (custom agents, stochastic policies, progressive columns).
     """
-    if isinstance(victim, ModularAgent):
+    from repro.eval.batch import unbatchable_victim
+
+    reason = unbatchable_victim(victim)
+    if reason is not None:
+        raise TypeError(reason)
+    if type(victim) is ModularAgent:
         return BatchModularActor(
             batch.road, batch.n, config=victim.config, dt=victim._lateral.dt
         )
-    if isinstance(victim, EndToEndAgent):
-        return BatchPolicyActor(victim, batch.n)
-    raise TypeError(
-        f"no batched twin for agent type {type(victim).__name__}"
-    )
+    return BatchPolicyActor(victim, batch.n)

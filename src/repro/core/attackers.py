@@ -277,15 +277,6 @@ class BatchLearnedAttacker:
 
     def __init__(self, attacker: LearnedAttacker, n: int) -> None:
         sensor = attacker.sensor
-        if not isinstance(sensor, CameraAttackObservation):
-            raise TypeError(
-                "batched attack rollout requires a camera sensor; "
-                f"got {type(sensor).__name__}"
-            )
-        if not attacker.deterministic:
-            raise TypeError(
-                "batched attack rollout supports deterministic policies only"
-            )
         self.name = attacker.name
         self.policy = attacker.policy
         self.sensor = CameraAttackObservation(
@@ -317,20 +308,23 @@ class BatchLearnedAttacker:
 def as_batch_attacker(attacker, batch):
     """The lockstep twin of a scalar attacker, sized for ``batch``.
 
-    Raises :class:`TypeError` for attackers with no batched path (IMU
-    sensors, stochastic policies, custom injectors).
+    Raises :class:`TypeError` with the reason from
+    :func:`repro.eval.batch.unbatchable_attacker` for attackers with no
+    batched path (IMU sensors, stochastic policies or channels, custom
+    injectors).
     """
-    if attacker is None or isinstance(attacker, NullAttacker):
+    from repro.eval.batch import unbatchable_attacker
+
+    reason = unbatchable_attacker(attacker)
+    if reason is not None:
+        raise TypeError(reason)
+    if attacker is None or type(attacker) is NullAttacker:
         return BatchNullAttacker(batch.n)
-    if isinstance(attacker, OracleAttacker):
+    if type(attacker) is OracleAttacker:
         return BatchOracleAttacker(
             batch.n,
             budget=attacker.budget,
             beta=attacker.beta,
             max_range=attacker.max_range,
         )
-    if isinstance(attacker, LearnedAttacker):
-        return BatchLearnedAttacker(attacker, batch.n)
-    raise TypeError(
-        f"no batched twin for attacker type {type(attacker).__name__}"
-    )
+    return BatchLearnedAttacker(attacker, batch.n)

@@ -8,7 +8,8 @@ victims and attackers run through their batched actors
 attack bookkeeping accumulate as masked array expressions. Finished
 episodes freeze in place until the slowest seed ends, so per-episode
 results match scalar runs of the same seeds (see :mod:`repro.sim.batch`
-for the determinism contract).
+for the determinism contract). :func:`supports_batch` decides which
+configurations have twins.
 
 Trace records carry the same fields and schema as the scalar runner —
 only the interleaving differs (ticks from concurrent episodes alternate,
@@ -19,24 +20,107 @@ e.g. via ``repro.obsv.replay.diff_ticks``.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.agents.batch import as_batch_actor
+from repro.agents.e2e.agent import EndToEndAgent
+from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.e2e.reward import DrivingReward, DrivingRewardConfig
+from repro.agents.modular.agent import ModularAgent
 from repro.agents.modular.behavior import BatchBehaviorPlanner
-from repro.core.attackers import as_batch_attacker
-from repro.core.injection import ACTIVE_THRESHOLD
+from repro.core.attackers import (
+    LearnedAttacker,
+    NullAttacker,
+    OracleAttacker,
+    as_batch_attacker,
+)
+from repro.core.injection import ACTIVE_THRESHOLD, InjectionChannel
+from repro.core.observations import CameraAttackObservation
 from repro.core.rewards import AdversarialReward, AdversarialRewardConfig
-from repro.eval.episodes import EpisodeResult, VictimFactory
+from repro.eval.episodes import (
+    EpisodeResult,
+    VictimFactory,
+    finish_episode,
+    gap_fields,
+    start_episode,
+)
+from repro.rl.policy import SquashedGaussianPolicy
 from repro.sim.batch import KIND_NONE, make_batch_world
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import make_world
-from repro.telemetry.metrics import get_registry
-from repro.telemetry.provenance import stamp_provenance
 from repro.telemetry.spans import get_tracer, span
 from repro.telemetry.trace import TraceWriter, default_writer
+
+
+def _wrong_type(owner, **expected: type) -> str | None:
+    """The first attribute of ``owner`` not exactly of its expected type."""
+    for attribute, kind in expected.items():
+        got = type(getattr(owner, attribute))
+        if got is not kind:
+            return (
+                f"batched rollout needs {attribute} of type {kind.__name__},"
+                f" got {got.__name__}"
+            )
+    return None
+
+
+def unbatchable_victim(victim) -> str | None:
+    """Why ``victim`` has no lockstep twin, or ``None`` when it has one.
+
+    Types match exactly, so a subclass that overrides ``act()`` always
+    runs on the scalar path.
+    """
+    kind = type(victim)
+    if kind is ModularAgent:
+        return None
+    if kind is not EndToEndAgent:
+        return f"no batched twin for agent type {kind.__name__}"
+    if not victim.deterministic:
+        return "batched rollout supports deterministic policies only"
+    return _wrong_type(
+        victim, policy=SquashedGaussianPolicy, observation=DrivingObservation
+    )
+
+
+def unbatchable_attacker(attacker) -> str | None:
+    """Why ``attacker`` has no lockstep twin, or ``None`` when it has one.
+
+    Types match exactly, as in :func:`unbatchable_victim`. IMU sensors,
+    stochastic policies and noisy injection channels stay scalar, where
+    each episode draws its own noise stream.
+    """
+    kind = type(attacker)
+    if attacker is None or kind in (NullAttacker, OracleAttacker):
+        return None
+    if kind is not LearnedAttacker:
+        return f"no batched twin for attacker type {kind.__name__}"
+    if not attacker.deterministic:
+        return "batched rollout supports deterministic policies only"
+    reason = _wrong_type(
+        attacker,
+        channel=InjectionChannel,
+        sensor=CameraAttackObservation,
+        policy=SquashedGaussianPolicy,
+    )
+    if reason is None and attacker.channel.config.noise_std > 0.0:
+        reason = "batched rollout needs a noise-free injection channel"
+    return reason
+
+
+def supports_batch(victim, attacker) -> bool:
+    """Whether the lockstep engine has twins for this victim and attacker.
+
+    The one place batchability is decided: :func:`run_seeds
+    <repro.eval.episodes.run_seeds>` picks the engine with it, and
+    :func:`~repro.agents.batch.as_batch_actor` /
+    :func:`~repro.core.attackers.as_batch_attacker` raise
+    :class:`TypeError` with the reason when it does not hold.
+    """
+    return unbatchable_victim(victim) is None and (
+        unbatchable_attacker(attacker) is None
+    )
 
 
 def run_episode_batch(
@@ -92,20 +176,8 @@ def run_episode_batch(
     ids = list(episode_ids) if episode_ids is not None else list(seeds)
     if len(ids) != n:
         raise ValueError(f"need one episode id per seed: got {len(ids)}")
-    if trace is not None:
-        stamp_provenance(trace, scenario)
-        for i in range(n):
-            trace.emit(
-                "episode_start",
-                episode=ids[i],
-                seed=seeds[i],
-                victim=str(getattr(victim, "name", "agent")),
-                attacker=str(getattr(battacker, "name", "none")),
-                budget=float(getattr(battacker, "budget", 0.0)),
-                scenario=(
-                    "default" if scenario == ScenarioConfig() else "custom"
-                ),
-            )
+    for i in range(n):
+        start_episode(trace, scenario, ids[i], seeds[i], victim, battacker)
 
     nominal_total = np.zeros(n)
     adversarial_total = np.zeros(n)
@@ -179,11 +251,12 @@ def run_episode_batch(
                         lateral=float(deviation[i]),
                     )
                     if gap is not None:
-                        fields["npc_gap"] = float(gap[i])
-                        if not np.isnan(previous_gap[i]):
-                            closing = (previous_gap[i] - gap[i]) / scenario.dt
-                            if closing > 1e-6:
-                                fields["ttc"] = float(gap[i] / closing)
+                        gap_fields(
+                            fields,
+                            float(gap[i]),
+                            float(previous_gap[i]),
+                            scenario.dt,
+                        )
                         previous_gap[i] = gap[i]
                     trace.emit("tick", **fields)
 
@@ -207,67 +280,33 @@ def run_episode_batch(
             )
             offset += duration
 
-    registry = get_registry()
     results: list[EpisodeResult] = []
     for i in range(n):
-        registry.counter("episodes_total").inc()
-        if activations[i]:
-            registry.counter("attack_activations_total").inc(
-                int(activations[i])
-            )
-        if active_ticks[i]:
-            registry.counter("attack_active_ticks_total").inc(
-                int(active_ticks[i])
-            )
-        registry.histogram("episode_steps").observe(int(batch.step_count[i]))
-        registry.histogram("episode_nominal_return").observe(
-            float(nominal_total[i])
-        )
-        registry.histogram("episode_adversarial_return").observe(
-            float(adversarial_total[i])
-        )
-
         collision = batch.collision(i)
         time_to_collision = None
         if collision is not None and not np.isnan(first_attack_time[i]):
             time_to_collision = collision.time - float(first_attack_time[i])
-
-        if trace is not None:
-            trace.emit(
-                "episode_end",
-                episode=ids[i],
-                steps=int(batch.step_count[i]),
-                duration=float(batch.time[i]),
-                collision=(
-                    collision.kind.name if collision is not None else None
-                ),
-                collision_with=(
-                    collision.other if collision is not None else None
-                ),
-                nominal_return=float(nominal_total[i]),
-                adversarial_return=float(adversarial_total[i]),
-                passed_npcs=int(batch.passed_npcs[i]),
-            )
-
         mean_effort = getattr(battacker, "mean_effort", 0.0)
         if isinstance(mean_effort, np.ndarray):
             mean_effort = float(mean_effort[i])
-        results.append(
-            EpisodeResult(
-                steps=int(batch.step_count[i]),
-                duration=float(batch.time[i]),
-                collision=collision,
-                passed_npcs=int(batch.passed_npcs[i]),
-                nominal_return=float(nominal_total[i]),
-                adversarial_return=float(adversarial_total[i]),
-                mean_effort=float(mean_effort),
-                deviation_rmse=float(
-                    np.sqrt(deviation_sq_sum[i] / max(deviation_ticks[i], 1))
-                ),
-                deviation_max=float(deviation_max[i]),
-                time_to_collision=time_to_collision,
-            )
+        result = EpisodeResult(
+            steps=int(batch.step_count[i]),
+            duration=float(batch.time[i]),
+            collision=collision,
+            passed_npcs=int(batch.passed_npcs[i]),
+            nominal_return=float(nominal_total[i]),
+            adversarial_return=float(adversarial_total[i]),
+            mean_effort=float(mean_effort),
+            deviation_rmse=float(
+                np.sqrt(deviation_sq_sum[i] / max(deviation_ticks[i], 1))
+            ),
+            deviation_max=float(deviation_max[i]),
+            time_to_collision=time_to_collision,
         )
+        finish_episode(
+            result, trace, ids[i], int(activations[i]), int(active_ticks[i])
+        )
+        results.append(result)
     if trace is not None:
         trace.flush()
     return results

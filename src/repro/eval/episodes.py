@@ -5,13 +5,19 @@ and records every metric the paper reports: nominal shaped driving reward,
 cumulative adversarial reward, collision outcome, NPCs passed, trajectory
 deviation from the privileged reference path, attack effort, and the time
 from attack initiation to collision.
+
+:func:`run_seeds` (and :func:`run_episodes` on top of it) is the one
+engine dispatcher: it sends configurations with batched twins through
+the lockstep engine of :mod:`repro.eval.batch` and everything else
+through the scalar :func:`run_episode` loop, which also serves as the
+reference oracle for the batch engine.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -67,6 +73,81 @@ class EpisodeResult:
         return self.side_collision
 
 
+#: Seeds advanced together per lockstep pass when :func:`run_seeds` picks
+#: the batch engine.
+BATCH_CHUNK = 64
+
+
+def start_episode(
+    trace: TraceWriter | None,
+    scenario: ScenarioConfig,
+    episode_id: int | str,
+    seed: int,
+    victim,
+    attacker,
+) -> None:
+    """Stamp provenance and emit ``episode_start`` (both engines)."""
+    if trace is None:
+        return
+    stamp_provenance(trace, scenario)
+    trace.emit(
+        "episode_start",
+        episode=episode_id,
+        seed=seed,
+        victim=str(getattr(victim, "name", "agent")),
+        attacker=str(getattr(attacker, "name", "none")),
+        budget=float(getattr(attacker, "budget", 0.0)),
+        scenario="default" if scenario == ScenarioConfig() else "custom",
+    )
+
+
+def gap_fields(
+    fields: dict, gap: float, previous_gap: float, dt: float
+) -> None:
+    """Add ``npc_gap`` to a tick record, and ``ttc`` when the gap is closing.
+
+    ``previous_gap`` is NaN on an episode's first tick.
+    """
+    fields["npc_gap"] = gap
+    closing = (previous_gap - gap) / dt
+    if closing > 1e-6:
+        fields["ttc"] = gap / closing
+
+
+def finish_episode(
+    result: EpisodeResult,
+    trace: TraceWriter | None,
+    episode_id: int | str,
+    activations: int,
+    active_ticks: int,
+) -> None:
+    """Count a finished episode and emit its ``episode_end`` (both engines)."""
+    registry = get_registry()
+    registry.counter("episodes_total").inc()
+    if activations:
+        registry.counter("attack_activations_total").inc(activations)
+    if active_ticks:
+        registry.counter("attack_active_ticks_total").inc(active_ticks)
+    registry.histogram("episode_steps").observe(result.steps)
+    registry.histogram("episode_nominal_return").observe(result.nominal_return)
+    registry.histogram("episode_adversarial_return").observe(
+        result.adversarial_return
+    )
+    if trace is not None:
+        collision = result.collision
+        trace.emit(
+            "episode_end",
+            episode=episode_id,
+            steps=result.steps,
+            duration=result.duration,
+            collision=collision.kind.name if collision is not None else None,
+            collision_with=collision.other if collision is not None else None,
+            nominal_return=result.nominal_return,
+            adversarial_return=result.adversarial_return,
+            passed_npcs=result.passed_npcs,
+        )
+
+
 def run_episode(
     victim_factory: VictimFactory,
     attacker=None,
@@ -76,8 +157,13 @@ def run_episode(
     adversarial_config: AdversarialRewardConfig | None = None,
     trace: TraceWriter | None = None,
     episode_id: int | str | None = None,
+    observer: Callable[[World, float], None] | None = None,
 ) -> EpisodeResult:
     """Run one full episode and measure it.
+
+    The scalar reference loop: the lockstep engine
+    (:func:`repro.eval.batch.run_episode_batch`) must reproduce it, and
+    configurations without a batched twin run here.
 
     Args:
         victim_factory: builds the victim for the fresh world.
@@ -88,6 +174,9 @@ def run_episode(
             process-wide writer installed via ``REPRO_TRACE`` (usually
             none). Telemetry is read-only: it never changes the episode.
         episode_id: id stamped on trace events (defaults to ``seed``).
+        observer: called as ``observer(world, delta)`` on the fresh world
+            (``delta`` 0) and after every tick; it must not mutate the
+            world.
     """
     scenario = scenario or ScenarioConfig()
     world = make_world(scenario, rng=np.random.default_rng(seed))
@@ -103,19 +192,9 @@ def run_episode(
 
     trace = trace if trace is not None else default_writer()
     episode_id = episode_id if episode_id is not None else seed
-    if trace is not None:
-        stamp_provenance(trace, scenario)
-        trace.emit(
-            "episode_start",
-            episode=episode_id,
-            seed=seed,
-            victim=str(getattr(victim, "name", "agent")),
-            attacker=str(getattr(attacker, "name", "none")),
-            budget=float(getattr(attacker, "budget", 0.0)),
-            scenario=(
-                "default" if scenario == ScenarioConfig() else "custom"
-            ),
-        )
+    start_episode(trace, scenario, episode_id, seed, victim, attacker)
+    if observer is not None:
+        observer(world, 0.0)
 
     nominal_total = 0.0
     adversarial_total = 0.0
@@ -130,7 +209,7 @@ def run_episode(
     active_ticks = 0
     activations = 0
     previously_active = False
-    previous_gap: float | None = None
+    previous_gap = math.nan
 
     with span("episode"):
         while not world.done:
@@ -138,6 +217,8 @@ def run_episode(
             control = victim.act(world)
             delta = float(attacker.delta(world, control))
             result = world.tick(control, steer_delta=delta)
+            if observer is not None:
+                observer(world, delta)
             if abs(delta) >= strike_level and first_attack_time is None:
                 first_attack_time = result.time - scenario.dt
 
@@ -183,11 +264,7 @@ def run_episode(
                             - world.ego.state.position
                         )
                     )
-                    fields["npc_gap"] = gap
-                    if previous_gap is not None:
-                        closing = (previous_gap - gap) / scenario.dt
-                        if closing > 1e-6:
-                            fields["ttc"] = gap / closing
+                    gap_fields(fields, gap, previous_gap, scenario.dt)
                     previous_gap = gap
                 trace.emit("tick", **fields)
 
@@ -195,39 +272,7 @@ def run_episode(
     if result.collision is not None and first_attack_time is not None:
         time_to_collision = result.collision.time - first_attack_time
 
-    registry = get_registry()
-    registry.counter("episodes_total").inc()
-    if activations:
-        registry.counter("attack_activations_total").inc(activations)
-    if active_ticks:
-        registry.counter("attack_active_ticks_total").inc(active_ticks)
-    registry.histogram("episode_steps").observe(result.step)
-    registry.histogram("episode_nominal_return").observe(nominal_total)
-    registry.histogram("episode_adversarial_return").observe(adversarial_total)
-
-    if trace is not None:
-        trace.emit(
-            "episode_end",
-            episode=episode_id,
-            steps=result.step,
-            duration=result.time,
-            collision=(
-                result.collision.kind.name
-                if result.collision is not None
-                else None
-            ),
-            collision_with=(
-                result.collision.other
-                if result.collision is not None
-                else None
-            ),
-            nominal_return=nominal_total,
-            adversarial_return=adversarial_total,
-            passed_npcs=world.passed_npcs,
-        )
-        trace.flush()
-
-    return EpisodeResult(
+    episode = EpisodeResult(
         steps=result.step,
         duration=result.time,
         collision=result.collision,
@@ -239,6 +284,69 @@ def run_episode(
         deviation_max=float(np.max(deviations)),
         time_to_collision=time_to_collision,
     )
+    finish_episode(episode, trace, episode_id, activations, active_ticks)
+    if trace is not None:
+        trace.flush()
+    return episode
+
+
+def run_seeds(
+    victim_factory: VictimFactory,
+    attacker_factory: Callable[[], object] | None,
+    seeds: Iterable[int],
+    **kwargs,
+) -> list[EpisodeResult]:
+    """Run one episode per seed on the engine the configuration supports.
+
+    The only engine dispatcher: when there are several seeds and
+    :func:`~repro.eval.batch.supports_batch` holds for a victim built on
+    the first seed's world and a fresh attacker, the seeds run in
+    lockstep chunks of :data:`BATCH_CHUNK` through
+    :func:`~repro.eval.batch.run_episode_batch`, otherwise one by one
+    through :func:`run_episode` (``kwargs`` go to either). Results match
+    either way (discrete outcomes exactly, floats to 1e-9), and an error
+    raised by either engine propagates.
+
+    ``attacker_factory`` is called once per scalar episode or lockstep
+    chunk, so attackers with internal state start fresh each time.
+    """
+    from repro.eval import batch as batch_engine
+
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    make_attacker = attacker_factory or (lambda: None)
+    attacker = make_attacker()
+    # A single seed gains nothing from lockstep and pays its overhead.
+    batched = len(seeds) > 1 and batch_engine.supports_batch(
+        victim_factory(
+            make_world(
+                kwargs.get("scenario") or ScenarioConfig(),
+                rng=np.random.default_rng(seeds[0]),
+            )
+        ),
+        attacker,
+    )
+    step = BATCH_CHUNK if batched else 1
+    results: list[EpisodeResult] = []
+    for start in range(0, len(seeds), step):
+        if start:
+            attacker = make_attacker()
+        if batched:
+            results += batch_engine.run_episode_batch(
+                victim_factory,
+                attacker=attacker,
+                seeds=seeds[start : start + step],
+                **kwargs,
+            )
+        else:
+            results.append(
+                run_episode(
+                    victim_factory, attacker=attacker, seed=seeds[start],
+                    **kwargs,
+                )
+            )
+    return results
 
 
 def run_episodes(
@@ -246,55 +354,12 @@ def run_episodes(
     attacker_factory: Callable[[], object] | None = None,
     n_episodes: int = 10,
     seed: int = 0,
-    batch_size: int | None = None,
     **kwargs,
 ) -> list[EpisodeResult]:
-    """Run ``n_episodes`` with consecutive seeds.
-
-    ``attacker_factory`` is called once per episode so attackers with
-    internal state (sensors, channels) start fresh each time.
-
-    ``batch_size`` > 1 routes chunks of seeds through the lockstep
-    :func:`~repro.eval.batch.run_episode_batch` engine (``None`` reads
-    ``REPRO_EVAL_BATCH``, default 1 = the scalar reference path). Agents
-    or attackers without a batched twin fall back to the scalar loop.
-    """
-    if batch_size is None:
-        batch_size = int(os.environ.get("REPRO_EVAL_BATCH", "1"))
-    seeds = [seed + episode for episode in range(n_episodes)]
-    if batch_size > 1:
-        from repro.eval.batch import run_episode_batch
-
-        try:
-            results = []
-            for start in range(0, n_episodes, batch_size):
-                chunk = seeds[start : start + batch_size]
-                attacker = (
-                    attacker_factory()
-                    if attacker_factory is not None
-                    else None
-                )
-                results.extend(
-                    run_episode_batch(
-                        victim_factory,
-                        attacker=attacker,
-                        seeds=chunk,
-                        **kwargs,
-                    )
-                )
-            return results
-        except TypeError:
-            # No batched twin for this victim/attacker: scalar fallback.
-            pass
-    results = []
-    for episode_seed in seeds:
-        attacker = attacker_factory() if attacker_factory is not None else None
-        results.append(
-            run_episode(
-                victim_factory,
-                attacker=attacker,
-                seed=episode_seed,
-                **kwargs,
-            )
-        )
-    return results
+    """Run ``n_episodes`` with consecutive seeds (see :func:`run_seeds`)."""
+    return run_seeds(
+        victim_factory,
+        attacker_factory,
+        range(seed, seed + n_episodes),
+        **kwargs,
+    )

@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.eval.episodes import EpisodeResult, run_episode
+from repro.eval.episodes import EpisodeResult, run_seeds
 from repro.telemetry.context import (
     ENV_RUN_ID,
     ENV_SPAN_PATH,
@@ -73,9 +73,6 @@ class ShardSpec:
     victim: str = "modular"
     attacker: str = "oracle"
     budget: float = 1.0
-    #: Episodes advanced in lockstep per batch-engine call; 1 = scalar
-    #: reference loop (see :func:`repro.eval.batch.run_episode_batch`).
-    batch: int = 1
     #: Directory for ``trace.w<worker>.jsonl`` (None = no trace files).
     out_dir: str | None = None
     #: Logical run id shared by all shards of the sweep.
@@ -144,48 +141,17 @@ def _execute(
 ) -> list[tuple[int, EpisodeResult]]:
     """Run one shard's episodes (shared by the worker and serial paths).
 
-    ``spec.batch > 1`` stacks process-level sharding with the lockstep
-    batch engine: each worker advances chunks of its seeds through
-    :func:`~repro.eval.batch.run_episode_batch` instead of looping
-    scalar episodes. The two axes multiply on multi-core hosts; measured
-    on the modular/oracle demo sweep (768 episodes, 4 workers, batch 32,
-    single-core CI container where process scaling is pinned at ~1x),
-    batching alone took the sweep from ~51 ms/episode serial-scalar to
-    ~3.7 ms/episode — ~14x combined episodes/sec.
+    :func:`~repro.eval.episodes.run_seeds` picks the engine, so process
+    sharding stacks with the lockstep batch engine whenever the victim
+    and attacker have batched twins.
     """
-    factory = _victim_factory(spec.victim)
-    if spec.batch > 1:
-        from repro.eval.batch import run_episode_batch
-
-        results = []
-        for start in range(0, len(spec.seeds), spec.batch):
-            chunk = list(spec.seeds[start : start + spec.batch])
-            attacker = _make_attacker(spec.attacker, spec.budget)
-            chunk_results = run_episode_batch(
-                factory,
-                attacker=attacker,
-                seeds=chunk,
-                trace=writer,
-                episode_ids=chunk,
-            )
-            results.extend(zip(chunk, chunk_results))
-        return results
-    results = []
-    for seed in spec.seeds:
-        attacker = _make_attacker(spec.attacker, spec.budget)
-        results.append(
-            (
-                seed,
-                run_episode(
-                    factory,
-                    attacker=attacker,
-                    seed=seed,
-                    trace=writer,
-                    episode_id=seed,
-                ),
-            )
-        )
-    return results
+    results = run_seeds(
+        _victim_factory(spec.victim),
+        lambda: _make_attacker(spec.attacker, spec.budget),
+        spec.seeds,
+        trace=writer,
+    )
+    return list(zip(spec.seeds, results))
 
 
 def run_shard(spec: ShardSpec) -> ShardOutcome:
@@ -276,7 +242,6 @@ def run_sweep(
     budget: float = 1.0,
     seed: int = 0,
     seeds: list[int] | None = None,
-    batch: int = 1,
     out_dir: str | Path | None = None,
     run_id: str | None = None,
 ) -> SweepResult:
@@ -287,8 +252,6 @@ def run_sweep(
     ``out_dir``, and results come back reassembled in seed order.
     ``workers <= 1`` runs the same shards serially in-process — the
     bit-identical reference the determinism suite compares against.
-    ``batch > 1`` additionally runs each worker's seeds through the
-    lockstep batch engine, multiplying the two speedups.
     """
     seeds = list(seeds) if seeds is not None else list(
         range(seed, seed + n_episodes)
@@ -321,7 +284,6 @@ def run_sweep(
                 victim=victim,
                 attacker=attacker,
                 budget=budget,
-                batch=max(1, int(batch)),
                 out_dir=None if out_dir is None else str(out_dir),
                 run=run_id,
                 parent=parent,
@@ -367,10 +329,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--batch", type=int, default=1,
-        help="episodes per lockstep batch within each worker (1 = scalar)",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="run directory for per-worker trace shards + Chrome export",
     )
@@ -387,7 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         attacker=args.attacker,
         budget=args.budget,
         seed=args.seed,
-        batch=args.batch,
         out_dir=args.out,
         run_id=args.run_id,
     )

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.eval.episodes import run_episode
 from repro.sim.world import World
-from repro.telemetry.trace import TraceWriter, default_writer
+from repro.telemetry.trace import TraceWriter
 
 
 @dataclass(frozen=True)
@@ -194,97 +195,21 @@ def record_episode(
     trace: TraceWriter | None = None,
     episode_id: int | str | None = None,
 ) -> tuple[Trajectory, World]:
-    """Run one episode while recording every tick.
+    """Run one episode and record every tick.
 
-    Returns the trajectory and the final world (for collision inspection).
-    ``trace`` (or the ``REPRO_TRACE`` default writer) additionally receives
-    ``episode_start`` / ``tick`` / ``episode_end`` events; tracing is
-    read-only and never changes the recorded trajectory.
+    A :func:`~repro.eval.episodes.run_episode` with a trajectory observer:
+    returns the trajectory and the final world (for collision inspection),
+    and writes the same trace records as the runner.
     """
-    from repro.agents.modular.behavior import BehaviorPlanner
-    from repro.core.attackers import NullAttacker
-    from repro.sim.config import ScenarioConfig
-    from repro.sim.scenario import make_world
-
-    scenario = scenario or ScenarioConfig()
-    world = make_world(scenario, rng=np.random.default_rng(seed))
-    victim = victim_factory(world)
-    victim.reset(world)
-    attacker = attacker if attacker is not None else NullAttacker()
-    attacker.reset(world)
-    # Pure observer mirroring run_episode's lateral-deviation reference,
-    # so the traced `lateral` field means the same thing in both producers.
-    planner = BehaviorPlanner(world.road)
-    planner.reset(world)
-
-    trace = trace if trace is not None else default_writer()
-    episode_id = episode_id if episode_id is not None else seed
-    if trace is not None:
-        from repro.telemetry.provenance import stamp_provenance
-
-        stamp_provenance(trace, scenario)
-        trace.emit(
-            "episode_start",
-            episode=episode_id,
-            seed=seed,
-            victim=str(getattr(victim, "name", "agent")),
-            attacker=str(getattr(attacker, "name", "none")),
-            budget=float(getattr(attacker, "budget", 0.0)),
-            scenario=(
-                "default" if scenario == ScenarioConfig() else "custom"
-            ),
-        )
-
     trajectory = Trajectory()
-    trajectory.record(world, 0.0)
-    result = None
-    while not world.done:
-        plan = planner.update(world)
-        control = victim.act(world)
-        delta = float(attacker.delta(world, control))
-        result = world.tick(control, steer_delta=delta)
+    final: list[World] = []
+
+    def observe(world: World, delta: float) -> None:
         trajectory.record(world, delta)
-        if trace is not None:
-            state = world.ego.state
-            fields = dict(
-                episode=episode_id,
-                tick=result.step,
-                t=result.time,
-                delta=delta,
-                x=state.x,
-                y=state.y,
-                yaw=state.yaw,
-                speed=state.speed,
-            )
-            nearest = world.nearest_npc()
-            if nearest is not None:
-                fields["npc_gap"] = float(
-                    np.linalg.norm(
-                        nearest.vehicle.state.position
-                        - world.ego.state.position
-                    )
-                )
-            ego_s, ego_d, _ = world.road.to_frenet(world.ego.state.position)
-            deviation = abs(ego_d - plan.reference_offset(ego_s))
-            fields["lateral"] = deviation / world.road.config.lane_width
-            trace.emit("tick", **fields)
-    if trace is not None and result is not None:
-        trace.emit(
-            "episode_end",
-            episode=episode_id,
-            steps=result.step,
-            duration=result.time,
-            collision=(
-                result.collision.kind.name
-                if result.collision is not None
-                else None
-            ),
-            collision_with=(
-                result.collision.other
-                if result.collision is not None
-                else None
-            ),
-            passed_npcs=world.passed_npcs,
-        )
-        trace.flush()
-    return trajectory, world
+        final[:] = [world]
+
+    run_episode(
+        victim_factory, attacker=attacker, seed=seed, scenario=scenario,
+        trace=trace, episode_id=episode_id, observer=observe,
+    )
+    return trajectory, final[0]

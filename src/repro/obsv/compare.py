@@ -32,6 +32,7 @@ cancels scenario difficulty and typically tightens CIs several-fold.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -631,21 +632,34 @@ def compare_metric_snapshots(
 
     A breach is a current cell mean falling outside the baseline's
     bootstrap CI on that metric's mean (either side — a "too good"
-    drift usually means the configuration silently changed). Cells or
-    metrics absent from either side are skipped; samples below ``min_n``
-    on either side are too noisy to gate and are skipped too.
+    drift usually means the configuration silently changed), or a
+    baseline cell or metric the current snapshot lacks (kind
+    ``"missing"``), so a snapshot that lost cells cannot pass. Baseline
+    samples below ``min_n`` are too noisy to gate and are skipped, as are
+    current samples below it; cells only the current side has are new,
+    not breaches.
     """
     breaches: list[Breach] = []
-    baseline_cells = baseline.get("cells", {})
-    for key, entry in sorted(current.get("cells", {}).items()):
-        base_entry = baseline_cells.get(key)
-        if not base_entry:
-            continue
-        for metric, stats in sorted(entry.get("metrics", {}).items()):
-            base = base_entry.get("metrics", {}).get(metric)
-            if not base:
+    current_cells = current.get("cells", {})
+    for key, base_entry in sorted(baseline.get("cells", {}).items()):
+        metrics = (current_cells.get(key) or {}).get("metrics", {})
+        for metric, base in sorted(base_entry.get("metrics", {}).items()):
+            if base.get("n", 0) < min_n:
                 continue
-            if stats.get("n", 0) < min_n or base.get("n", 0) < min_n:
+            stats = metrics.get(metric)
+            if not stats:
+                breaches.append(
+                    Breach(
+                        kind="missing",
+                        name=key,
+                        baseline=float(base["mean"]),
+                        current=math.nan,
+                        limit=math.nan,
+                        metric=metric,
+                    )
+                )
+                continue
+            if stats.get("n", 0) < min_n:
                 continue
             mean = float(stats["mean"])
             lo, hi = (float(base["ci"][0]), float(base["ci"][1]))

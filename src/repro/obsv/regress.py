@@ -20,6 +20,7 @@ via ``REPRO_OBSV_MAX_RATIO``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,7 +69,10 @@ class RegressionThresholds:
 class Breach:
     """One threshold violation."""
 
-    kind: str  # "wall_clock" | "span" | "span_self" | "alloc" | "counter"
+    #: "wall_clock" | "span" | "span_self" | "alloc" | "counter" |
+    #: "metric" | "missing" (a baseline metric the current side lacks;
+    #: ``current`` and ``limit`` are NaN).
+    kind: str
     name: str
     baseline: float
     current: float
@@ -85,6 +89,11 @@ class Breach:
 
     def __str__(self) -> str:
         metric = f" [{self.metric}]" if self.metric else ""
+        if self.kind == "missing":
+            return (
+                f"missing {self.name}{metric}: baseline mean"
+                f" {self.baseline:g}, absent from current"
+            )
         return (
             f"{self.kind} {self.name}{metric}:"
             f" {self.baseline:g} -> {self.current:g}"
@@ -99,9 +108,9 @@ class Breach:
             "span": self.name,
             "metric": self.metric or self.kind,
             "baseline": self.baseline,
-            "current": self.current,
-            "ratio": round(ratio, 4) if ratio != float("inf") else None,
-            "threshold": self.limit,
+            "current": self.current if math.isfinite(self.current) else None,
+            "ratio": round(ratio, 4) if math.isfinite(ratio) else None,
+            "threshold": self.limit if math.isfinite(self.limit) else None,
         }
 
 

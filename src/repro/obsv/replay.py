@@ -272,9 +272,9 @@ def replay_episode(
         steps_replayed=len(replayed_ticks),
         fields_compared=0,
     )
-    # The recorder emits a subset of the runner's fields; fields absent
-    # from the recording are not checked, but the replay must reproduce
-    # everything recorded.
+    # Fields absent from the recording (e.g. a trace from an older
+    # writer) are not checked, but the replay must reproduce everything
+    # recorded.
     report.diffs, report.max_error, report.fields_compared = diff_ticks(
         episode.ticks, replayed_ticks, tolerances
     )

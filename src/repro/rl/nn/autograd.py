@@ -16,6 +16,7 @@ import math
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy.special import expit
 
 ArrayLike = "np.ndarray | float | int"
 
@@ -305,7 +306,7 @@ class Tensor:
         out_data = np.logaddexp(0.0, self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / (1.0 + np.exp(-self.data)))
+            self._accumulate(grad * expit(self.data))
 
         return Tensor(
             out_data,

@@ -13,6 +13,13 @@ def modular_victim(world):
     return ModularAgent(world.road)
 
 
+class ScalarOnlyVictim(ModularAgent):
+    """A subclass, so the batch engine never takes it."""
+
+    def __init__(self, world):
+        super().__init__(world.road)
+
+
 class TestRunEpisode:
     def test_nominal_episode_metrics(self):
         result = run_episode(modular_victim, seed=3)
@@ -72,5 +79,10 @@ class TestRunEpisodes:
             calls.append(attacker)
             return attacker
 
-        run_episodes(modular_victim, factory, n_episodes=3, seed=0)
+        # Scalar path: one fresh attacker per episode.
+        run_episodes(ScalarOnlyVictim, factory, n_episodes=3, seed=0)
         assert len(calls) == 3
+        # Lockstep path: one fresh attacker per chunk of seeds.
+        calls.clear()
+        run_episodes(modular_victim, factory, n_episodes=3, seed=0)
+        assert len(calls) == 1

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro.agents.modular import ModularAgent
+from repro.core import OracleAttacker
+from repro.eval.episodes import run_episode
 from repro.eval.parallel import ShardSpec, _run_shard_serial, run_sweep
 from repro.obsv.store import TelemetryStore
 from repro.telemetry.context import merge_shards, shard_worker
@@ -64,7 +67,10 @@ class TestSweep:
             ]
             spans = [e for e in events if e["event"] == "span"]
             assert spans, f"no span events in {path}"
-            assert any(e["name"] == "episode" for e in spans)
+            # Lockstep shards nest per-episode spans under episode_batch.
+            assert any(
+                e["name"].rsplit("/", 1)[-1] == "episode" for e in spans
+            )
 
     def test_merged_chrome_export_has_worker_lanes(self, sweep):
         doc = to_chrome_trace(merge_shards(sweep.out_dir))
@@ -120,15 +126,18 @@ class TestSerialPath:
 
     @pytest.mark.batch
     def test_batched_shard_matches_scalar_shard(self, tmp_path):
-        scalar = run_sweep(
-            n_episodes=4, workers=1, attacker="oracle", run_id="scalarrun",
-        )
+        # modular/oracle has batched twins, so the shard runs lockstep;
+        # the scalar reference is run_episode per seed.
         batched = run_sweep(
-            n_episodes=4, workers=1, attacker="oracle", batch=4,
+            n_episodes=4, workers=1, attacker="oracle",
             out_dir=tmp_path, run_id="batchedrun",
         )
-        assert batched.seeds == scalar.seeds
-        for a, b in zip(scalar.results, batched.results):
+        assert batched.seeds == [0, 1, 2, 3]
+        for seed, b in zip(batched.seeds, batched.results):
+            a = run_episode(
+                lambda world: ModularAgent(world.road),
+                attacker=OracleAttacker(budget=1.0), seed=seed, trace=None,
+            )
             assert a.steps == b.steps
             assert (a.collision is None) == (b.collision is None)
             assert a.nominal_return == pytest.approx(
@@ -142,6 +151,9 @@ class TestSerialPath:
         ]
         assert validate_trace(events) == []
         assert sum(e["event"] == "episode_end" for e in events) == 4
+        # Lockstep: every episode starts before the first tick.
+        kinds = [e["event"] for e in events if e["event"] != "provenance"]
+        assert kinds[:5] == ["episode_start"] * 4 + ["tick"]
 
     def test_rejects_unknown_victim_and_attacker(self, tmp_path):
         with pytest.raises(ValueError, match="victim"):

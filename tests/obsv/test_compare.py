@@ -254,6 +254,40 @@ class TestMetricsGate:
         assert [b.metric for b in breaches] == ["steps"]
         assert breaches[0].kind == "metric"
 
+    def test_dropped_cell_breaches(self, tmp_path, capsys):
+        baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+        current = json.loads(BASELINE.read_text(encoding="utf-8"))
+        cell = sorted(current["cells"])[0]
+        dropped = current["cells"].pop(cell)
+        breaches = compare_metric_snapshots(current, baseline)
+        assert {b.kind for b in breaches} == {"missing"}
+        assert {b.name for b in breaches} == {cell}
+        assert sorted(b.metric for b in breaches) == sorted(
+            dropped["metrics"]
+        )
+        path = tmp_path / "dropped.json"
+        path.write_text(json.dumps(current), encoding="utf-8")
+        rc = main(
+            ["regress", str(path), str(BASELINE), "--metrics", "--json"]
+        )
+        assert rc == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["breaches"][0]["kind"] == "missing"
+        assert report["breaches"][0]["current"] is None
+
+    def test_dropped_metric_breaches(self):
+        baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+        current = json.loads(BASELINE.read_text(encoding="utf-8"))
+        cell = sorted(current["cells"])[0]
+        del current["cells"][cell]["metrics"]["steps"]
+        (breach,) = compare_metric_snapshots(current, baseline)
+        assert (breach.kind, breach.name, breach.metric) == (
+            "missing", cell, "steps"
+        )
+        assert "absent from current" in str(breach)
+        # Below min_n the baseline cell is too noisy to gate at all.
+        assert compare_metric_snapshots(current, baseline, min_n=10**6) == []
+
     def test_non_snapshot_baseline_refused(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"kind": "other"}', encoding="utf-8")

@@ -41,8 +41,8 @@ class TestReplayFidelity:
         assert report.ok, report.to_markdown()
 
     def test_recorder_trace_replays_through_runner(self):
-        # record_episode emits a subset of run_episode's tick fields with
-        # identical semantics; replay must reproduce all of them.
+        # record_episode is run_episode with a trajectory observer, so it
+        # emits the runner's full tick fields; replay reproduces them all.
         episode = record(
             seed=4, attacker=OracleAttacker(budget=1.0), runner=record_episode
         )

@@ -4,6 +4,8 @@ Every op is validated against central finite differences, plus a few
 hypothesis property tests on broadcasting and accumulation.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,13 @@ class TestElementwiseGradients:
 
     def test_softplus(self):
         check_op(lambda t: t.softplus(), X * 3.0)
+
+    def test_softplus_saturated_gradient_is_finite_and_silent(self):
+        t = Tensor(np.array([-1000.0, 1000.0]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t.softplus().sum().backward()
+        np.testing.assert_array_equal(t.grad, [0.0, 1.0])
 
     def test_abs(self):
         check_op(lambda t: t.abs(), X + 0.01)
