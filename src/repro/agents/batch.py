@@ -9,7 +9,7 @@ tracks its scalar counterpart to numerical tolerance (see
 
 Use :func:`as_batch_actor` to derive the twin from a configured scalar
 agent; unsupported agents raise :class:`TypeError` rather than silently
-degrading (:func:`repro.eval.batch.supports_batch` decides which).
+degrading (:func:`unbatchable_victim` says why).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.modular.agent import ModularAgent, ModularAgentConfig
 from repro.agents.modular.behavior import BatchBehaviorPlanner
 from repro.agents.modular.pid import BatchPid
+from repro.rl.policy import SquashedGaussianPolicy
 from repro.sim.config import EPSILON_MECH
 
 
@@ -96,15 +97,43 @@ class BatchPolicyActor:
         return steer, thrust
 
 
+def wrong_type(owner, **expected: type) -> str | None:
+    """The first attribute of ``owner`` not exactly of its expected type."""
+    for attribute, kind in expected.items():
+        got = type(getattr(owner, attribute))
+        if got is not kind:
+            return (
+                f"batched rollout needs {attribute} of type {kind.__name__},"
+                f" got {got.__name__}"
+            )
+    return None
+
+
+def unbatchable_victim(victim) -> str | None:
+    """Why ``victim`` has no lockstep twin, or ``None`` when it has one.
+
+    Types match exactly, so a subclass that overrides ``act()`` always
+    runs on the scalar path.
+    """
+    kind = type(victim)
+    if kind is ModularAgent:
+        return None
+    if kind is not EndToEndAgent:
+        return f"no batched twin for agent type {kind.__name__}"
+    if not victim.deterministic:
+        return "batched rollout supports deterministic policies only"
+    return wrong_type(
+        victim, policy=SquashedGaussianPolicy, observation=DrivingObservation
+    )
+
+
 def as_batch_actor(victim, batch):
     """The lockstep twin of a scalar driving agent, sized for ``batch``.
 
     Raises :class:`TypeError` with the reason from
-    :func:`repro.eval.batch.unbatchable_victim` for agents with no batched
-    path (custom agents, stochastic policies, progressive columns).
+    :func:`unbatchable_victim` for agents with no batched path (custom
+    agents, stochastic policies, progressive columns).
     """
-    from repro.eval.batch import unbatchable_victim
-
     reason = unbatchable_victim(victim)
     if reason is not None:
         raise TypeError(reason)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.agents.batch import wrong_type
 from repro.core.injection import (
     BatchInjectionChannel,
     InjectionChannel,
@@ -305,16 +306,39 @@ class BatchLearnedAttacker:
         return self.channel.inject(self.normalized_actions(batch), ~batch.done)
 
 
+def unbatchable_attacker(attacker) -> str | None:
+    """Why ``attacker`` has no lockstep twin, or ``None`` when it has one.
+
+    Types match exactly, as in
+    :func:`~repro.agents.batch.unbatchable_victim`. IMU sensors,
+    stochastic policies and noisy injection channels stay scalar, where
+    each episode draws its own noise stream.
+    """
+    kind = type(attacker)
+    if attacker is None or kind in (NullAttacker, OracleAttacker):
+        return None
+    if kind is not LearnedAttacker:
+        return f"no batched twin for attacker type {kind.__name__}"
+    if not attacker.deterministic:
+        return "batched rollout supports deterministic policies only"
+    reason = wrong_type(
+        attacker,
+        channel=InjectionChannel,
+        sensor=CameraAttackObservation,
+        policy=SquashedGaussianPolicy,
+    )
+    if reason is None and attacker.channel.config.noise_std > 0.0:
+        reason = "batched rollout needs a noise-free injection channel"
+    return reason
+
+
 def as_batch_attacker(attacker, batch):
     """The lockstep twin of a scalar attacker, sized for ``batch``.
 
     Raises :class:`TypeError` with the reason from
-    :func:`repro.eval.batch.unbatchable_attacker` for attackers with no
-    batched path (IMU sensors, stochastic policies or channels, custom
-    injectors).
+    :func:`unbatchable_attacker` for attackers with no batched path (IMU
+    sensors, stochastic policies or channels, custom injectors).
     """
-    from repro.eval.batch import unbatchable_attacker
-
     reason = unbatchable_attacker(attacker)
     if reason is not None:
         raise TypeError(reason)

@@ -24,20 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.agents.batch import as_batch_actor
-from repro.agents.e2e.agent import EndToEndAgent
-from repro.agents.e2e.observation import DrivingObservation
+from repro.agents.batch import as_batch_actor, unbatchable_victim
 from repro.agents.e2e.reward import DrivingReward, DrivingRewardConfig
-from repro.agents.modular.agent import ModularAgent
 from repro.agents.modular.behavior import BatchBehaviorPlanner
-from repro.core.attackers import (
-    LearnedAttacker,
-    NullAttacker,
-    OracleAttacker,
-    as_batch_attacker,
-)
-from repro.core.injection import ACTIVE_THRESHOLD, InjectionChannel
-from repro.core.observations import CameraAttackObservation
+from repro.core.attackers import as_batch_attacker, unbatchable_attacker
+from repro.core.injection import ACTIVE_THRESHOLD
 from repro.core.rewards import AdversarialReward, AdversarialRewardConfig
 from repro.eval.episodes import (
     EpisodeResult,
@@ -46,7 +37,6 @@ from repro.eval.episodes import (
     gap_fields,
     start_episode,
 )
-from repro.rl.policy import SquashedGaussianPolicy
 from repro.sim.batch import KIND_NONE, make_batch_world
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import make_world
@@ -54,69 +44,14 @@ from repro.telemetry.spans import get_tracer, span
 from repro.telemetry.trace import TraceWriter, default_writer
 
 
-def _wrong_type(owner, **expected: type) -> str | None:
-    """The first attribute of ``owner`` not exactly of its expected type."""
-    for attribute, kind in expected.items():
-        got = type(getattr(owner, attribute))
-        if got is not kind:
-            return (
-                f"batched rollout needs {attribute} of type {kind.__name__},"
-                f" got {got.__name__}"
-            )
-    return None
-
-
-def unbatchable_victim(victim) -> str | None:
-    """Why ``victim`` has no lockstep twin, or ``None`` when it has one.
-
-    Types match exactly, so a subclass that overrides ``act()`` always
-    runs on the scalar path.
-    """
-    kind = type(victim)
-    if kind is ModularAgent:
-        return None
-    if kind is not EndToEndAgent:
-        return f"no batched twin for agent type {kind.__name__}"
-    if not victim.deterministic:
-        return "batched rollout supports deterministic policies only"
-    return _wrong_type(
-        victim, policy=SquashedGaussianPolicy, observation=DrivingObservation
-    )
-
-
-def unbatchable_attacker(attacker) -> str | None:
-    """Why ``attacker`` has no lockstep twin, or ``None`` when it has one.
-
-    Types match exactly, as in :func:`unbatchable_victim`. IMU sensors,
-    stochastic policies and noisy injection channels stay scalar, where
-    each episode draws its own noise stream.
-    """
-    kind = type(attacker)
-    if attacker is None or kind in (NullAttacker, OracleAttacker):
-        return None
-    if kind is not LearnedAttacker:
-        return f"no batched twin for attacker type {kind.__name__}"
-    if not attacker.deterministic:
-        return "batched rollout supports deterministic policies only"
-    reason = _wrong_type(
-        attacker,
-        channel=InjectionChannel,
-        sensor=CameraAttackObservation,
-        policy=SquashedGaussianPolicy,
-    )
-    if reason is None and attacker.channel.config.noise_std > 0.0:
-        reason = "batched rollout needs a noise-free injection channel"
-    return reason
-
-
 def supports_batch(victim, attacker) -> bool:
     """Whether the lockstep engine has twins for this victim and attacker.
 
-    The one place batchability is decided: :func:`run_seeds
-    <repro.eval.episodes.run_seeds>` picks the engine with it, and
-    :func:`~repro.agents.batch.as_batch_actor` /
-    :func:`~repro.core.attackers.as_batch_attacker` raise
-    :class:`TypeError` with the reason when it does not hold.
+    :func:`run_seeds <repro.eval.episodes.run_seeds>` picks the engine
+    with it. It composes :func:`~repro.agents.batch.unbatchable_victim`
+    and :func:`~repro.core.attackers.unbatchable_attacker`, which sit
+    next to the twin factories that raise their reason as
+    :class:`TypeError` when it does not hold.
     """
     return unbatchable_victim(victim) is None and (
         unbatchable_attacker(attacker) is None

@@ -298,7 +298,7 @@ def run_seeds(
 ) -> list[EpisodeResult]:
     """Run one episode per seed on the engine the configuration supports.
 
-    The only engine dispatcher: when there are several seeds and
+    The only engine dispatcher: when
     :func:`~repro.eval.batch.supports_batch` holds for a victim built on
     the first seed's world and a fresh attacker, the seeds run in
     lockstep chunks of :data:`BATCH_CHUNK` through
@@ -317,8 +317,7 @@ def run_seeds(
         return []
     make_attacker = attacker_factory or (lambda: None)
     attacker = make_attacker()
-    # A single seed gains nothing from lockstep and pays its overhead.
-    batched = len(seeds) > 1 and batch_engine.supports_batch(
+    batched = batch_engine.supports_batch(
         victim_factory(
             make_world(
                 kwargs.get("scenario") or ScenarioConfig(),

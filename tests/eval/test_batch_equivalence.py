@@ -182,10 +182,12 @@ class TestRunEpisodesBatchRouting:
             for seed in range(3, 8)
         ]
         assert_same_results(scalar, batched)
-        # A single seed stays on the scalar loop (lockstep adds overhead).
+        # The seed count plays no part in the choice: one seed is a
+        # lockstep batch of one.
         engine_calls.clear()
-        run_episodes(modular_victim, n_episodes=1, seed=3)
-        assert engine_calls == ["run_episode"]
+        single = run_episodes(modular_victim, n_episodes=1, seed=3)
+        assert engine_calls == ["run_episode_batch"]
+        assert_same_results([run_episode(modular_victim, seed=3)], single)
 
     def test_chunks_cover_every_seed(self, engine_calls, monkeypatch):
         monkeypatch.setattr(episodes_mod, "BATCH_CHUNK", 2)
