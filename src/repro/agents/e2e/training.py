@@ -26,15 +26,13 @@ from repro.agents.e2e.env import DrivingEnv, SteerInjector
 from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.modular.agent import ModularAgent
 from repro.rl.bc import BcConfig, BehaviorCloner
-from repro.rl.checkpoint import SacLoopGuard
-from repro.rl.health import HealthEmitter
+from repro.rl.loop import sac_loop
 from repro.rl.policy import SquashedGaussianPolicy
-from repro.rl.sac import Sac, SacConfig
+from repro.rl.sac import SacConfig
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import make_world
 from repro.telemetry.log import get_logger
-from repro.telemetry.spans import span
-from repro.telemetry.trace import TraceWriter, default_writer
+from repro.telemetry.trace import TraceWriter
 
 log = get_logger("agents.e2e.training")
 
@@ -186,68 +184,18 @@ def refine_driver_sac(
 
     Returns the refined policy and its evaluation metrics; the caller
     decides whether to keep it. The ``injector`` hook makes this the same
-    primitive adversarial fine-tuning (Section VI-A) builds on.
-    ``trace`` (or the ``REPRO_TRACE`` default writer) receives one
-    ``train_step`` event per environment step, plus ``update_health``
-    records when ``config.sac.health_every`` (or ``REPRO_HEALTH_EVERY``)
-    is set.
-
-    Crash-safe: episode boundaries (reset deferred to the next
-    iteration) snapshot a resumable
-    :class:`~repro.rl.checkpoint.TrainState` when
-    ``config.sac.checkpoint_every`` is set, and ``config.sac.resume``
-    continues bit-identically from the newest snapshot.
+    primitive adversarial fine-tuning (Section VI-A) builds on. The
+    training itself is :func:`repro.rl.loop.sac_loop` (trace records,
+    health, crash-safe snapshots and resume); evaluation uses the
+    training env's observation scale.
     """
-    trace = trace if trace is not None else default_writer()
     env = DrivingEnv(scenario=scenario, rng=rng, injector=injector)
-    sac = Sac(
-        env.observation_dim, env.action_dim, config.sac, rng=rng, actor=policy
+    sac_loop(env, policy, config.sac, config.sac_steps, rng,
+             loop=loop_label, trace=trace, progress=progress)
+    agent = EndToEndAgent(
+        policy,
+        observation=DrivingObservation(reference_speed=env.scenario.ego_speed),
     )
-    health = HealthEmitter(trace, loop_label, every=config.sac.health_every)
-    guard = SacLoopGuard(sac, loop_label, rng, trace=trace)
-    start = guard.start()
-    env._episode = guard.env_episode
-    obs = None
-    episode_return = 0.0
-    with span("train.driver_sac"):
-        for step in range(start, config.sac_steps):
-            guard.on_step(step)
-            if obs is None:  # episode boundary: snapshot, then reset
-                guard.at_boundary(step, env._episode, env._episode)
-                obs = env.reset()
-                episode_return = 0.0
-            action = sac.act(obs)
-            next_obs, reward, done, info = env.step(action)
-            sac.observe(
-                obs, action, reward, next_obs,
-                done and not info["truncated"],
-            )
-            episode_return += reward
-            obs = next_obs
-            if trace is not None:
-                trace.emit(
-                    "train_step", loop=loop_label, step=step,
-                    reward=float(reward), done=bool(done),
-                )
-            if done:
-                if env._episode % 10 == 0:
-                    (log.info if progress else log.debug)(
-                        "sac.episode", loop=loop_label, step=step,
-                        episode=env._episode,
-                        episode_return=episode_return,
-                    )
-                obs = None
-            if step % config.sac.update_every == 0 and len(sac.replay) >= (
-                config.sac.batch_size
-            ):
-                stats = sac.update()
-                health.after_update(sac, step, stats)
-                guard.after_update(step, stats)
-    guard.finish(config.sac_steps, env._episode, env._episode)
-    if trace is not None:
-        trace.flush()
-
-    agent = EndToEndAgent(policy, observation=DrivingObservation())
     metrics = evaluate_driver(
         agent, config.eval_episodes, seed=10_000, scenario=scenario
     )

@@ -28,15 +28,12 @@ from repro.core.observations import CameraAttackObservation, ImuAttackObservatio
 from repro.eval.episodes import run_episodes
 from repro.eval.metrics import success_rate
 from repro.rl.bc import BcConfig, BehaviorCloner
-from repro.rl.checkpoint import SacLoopGuard
-from repro.rl.health import HealthEmitter
+from repro.rl.loop import sac_loop
 from repro.rl.policy import SquashedGaussianPolicy
-from repro.rl.sac import Sac, SacConfig
+from repro.rl.sac import SacConfig
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import make_world
 from repro.telemetry.log import get_logger
-from repro.telemetry.spans import span
-from repro.telemetry.trace import TraceWriter, default_writer
 
 log = get_logger("core.training")
 
@@ -72,35 +69,37 @@ class AttackTrainConfig:
     seed: int = 0
 
 
-def collect_oracle_demonstrations(
+def collect_demonstrations(
+    teacher,
+    sensor,
     victim_factory: VictimFactory,
     n_episodes: int,
     rng: np.random.Generator,
     scenario: ScenarioConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle attack rollouts recorded through the camera sensor.
+    """Teacher attack rollouts recorded through the student's ``sensor``.
 
-    Returns ``(observations, normalized_actions)`` where actions are the
-    oracle's decisions in ``[-1, 1]``.
+    The teacher (the scripted oracle for the camera attacker, the camera
+    attacker for the IMU student) *executes* its attack, so the recorded
+    observations carry the attack-induced motion the student must learn
+    to recognize. Returns ``(observations, normalized_actions)`` where
+    actions are the teacher's decisions in ``[-1, 1]``.
     """
     scenario = scenario or ScenarioConfig()
-    sensor = CameraAttackObservation()
     observations: list[np.ndarray] = []
     actions: list[float] = []
     for _ in range(n_episodes):
         world = make_world(scenario, rng=rng)
         victim = victim_factory(world)
         victim.reset(world)
-        oracle = OracleAttacker(budget=1.0)
-        oracle.reset(world)
+        teacher.reset(world)
         sensor.reset()
         while not world.done:
-            obs = sensor.observe(world)
-            action = oracle.normalized_action(world)
-            observations.append(obs)
+            observations.append(sensor.observe(world))
+            action = teacher.normalized_action(world)
             actions.append(action)
             control = victim.act(world)
-            world.tick(control, steer_delta=oracle.channel.inject(action))
+            world.tick(control, steer_delta=teacher.channel.inject(action))
     return np.asarray(observations), np.asarray(actions)[:, None]
 
 
@@ -180,69 +179,6 @@ def _fit_best_of(
     return best_policy, best_metrics
 
 
-def _sac_refine(
-    policy: SquashedGaussianPolicy,
-    env: AttackEnv,
-    config: AttackTrainConfig,
-    rng: np.random.Generator,
-    progress: bool = False,
-    trace: TraceWriter | None = None,
-    loop_label: str = "sac-attack",
-) -> None:
-    """In-place SAC refinement of an attack policy in ``env``.
-
-    Crash-safe: the loop defers ``env.reset`` to the top of the next
-    iteration so episode boundaries are pure learner state, snapshots
-    resumable :class:`~repro.rl.checkpoint.TrainState` checkpoints there
-    when ``config.sac.checkpoint_every`` (or ``REPRO_CHECKPOINT_EVERY``)
-    is set, and resumes bit-identically when ``config.sac.resume`` (or
-    ``REPRO_RESUME``) finds one.
-    """
-    trace = trace if trace is not None else default_writer()
-    sac = Sac(env.observation_dim, env.action_dim, config.sac, rng=rng,
-              actor=policy)
-    health = HealthEmitter(trace, loop_label, every=config.sac.health_every)
-    guard = SacLoopGuard(sac, loop_label, rng, trace=trace)
-    start = guard.start()
-    obs = None
-    episode_return, episode = 0.0, guard.episode
-    with span("train.sac_refine"):
-        for step in range(start, config.sac_steps):
-            guard.on_step(step)
-            if obs is None:  # episode boundary: snapshot, then reset
-                guard.at_boundary(step, episode)
-                obs = env.reset()
-                episode_return = 0.0
-            action = sac.act(obs)
-            next_obs, reward, done, info = env.step(action)
-            sac.observe(obs, action, reward, next_obs,
-                        done and not info["truncated"])
-            episode_return += reward
-            obs = next_obs
-            if trace is not None:
-                trace.emit(
-                    "train_step", loop=loop_label, step=step,
-                    reward=float(reward), done=bool(done), episode=episode,
-                )
-            if done:
-                episode += 1
-                if episode % 20 == 0:
-                    (log.info if progress else log.debug)(
-                        "sac.episode", loop=loop_label, step=step,
-                        episode=episode, episode_return=episode_return,
-                    )
-                obs = None
-            if step % config.sac.update_every == 0 and len(sac.replay) >= (
-                config.sac.batch_size
-            ):
-                stats = sac.update()
-                health.after_update(sac, step, stats)
-                guard.after_update(step, stats)
-    guard.finish(config.sac_steps, episode)
-    if trace is not None:
-        trace.flush()
-
-
 def train_camera_attacker(
     victim_factory: VictimFactory,
     config: AttackTrainConfig | None = None,
@@ -252,8 +188,9 @@ def train_camera_attacker(
     config = config or AttackTrainConfig()
     rng = np.random.default_rng(config.seed)
 
-    observations, actions = collect_oracle_demonstrations(
-        victim_factory, config.bc_episodes, rng
+    observations, actions = collect_demonstrations(
+        OracleAttacker(budget=1.0), CameraAttackObservation(),
+        victim_factory, config.bc_episodes, rng,
     )
     sensor = CameraAttackObservation()
     policy, metrics = _fit_best_of(
@@ -276,7 +213,8 @@ def train_camera_attacker(
             budget=config.budget,
             rng=rng,
         )
-        _sac_refine(policy, env, config, rng, progress)
+        sac_loop(env, policy, config.sac, config.sac_steps, rng,
+                 loop="sac-attack", progress=progress)
         refined = _make_attacker(policy, sensor, config.budget, "camera")
         refined_metrics = evaluate_attacker(
             refined, victim_factory, config.eval_episodes
@@ -294,39 +232,6 @@ def train_camera_attacker(
     return attacker, metrics
 
 
-def collect_teacher_traces(
-    teacher: LearnedAttacker,
-    victim_factory: VictimFactory,
-    n_episodes: int,
-    rng: np.random.Generator,
-    scenario: ScenarioConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Learning-from-teacher data: IMU observations + teacher actions.
-
-    The teacher *executes* its attack so the IMU trace carries the
-    attack-induced motion signature the student must learn to recognize.
-    """
-    scenario = scenario or ScenarioConfig()
-    student_sensor = ImuAttackObservation()
-    observations: list[np.ndarray] = []
-    actions: list[float] = []
-    for _ in range(n_episodes):
-        world = make_world(scenario, rng=rng)
-        victim = victim_factory(world)
-        victim.reset(world)
-        teacher.reset(world)
-        student_sensor.reset()
-        while not world.done:
-            obs = student_sensor.observe(world)
-            teacher_action = teacher.normalized_action(world)
-            observations.append(obs)
-            actions.append(teacher_action)
-            control = victim.act(world)
-            delta = teacher.channel.inject(teacher_action)
-            world.tick(control, steer_delta=delta)
-    return np.asarray(observations), np.asarray(actions)[:, None]
-
-
 def train_imu_attacker(
     teacher: LearnedAttacker,
     victim_factory: VictimFactory,
@@ -337,8 +242,9 @@ def train_imu_attacker(
     config = config or AttackTrainConfig()
     rng = np.random.default_rng(config.seed + 1)
 
-    observations, actions = collect_teacher_traces(
-        teacher, victim_factory, config.bc_episodes, rng
+    observations, actions = collect_demonstrations(
+        teacher, ImuAttackObservation(), victim_factory, config.bc_episodes,
+        rng,
     )
     sensor = ImuAttackObservation()
     policy, metrics = _fit_best_of(
@@ -362,7 +268,8 @@ def train_imu_attacker(
             rng=rng,
             teacher=teacher,
         )
-        _sac_refine(policy, env, config, rng, progress, loop_label="sac-imu")
+        sac_loop(env, policy, config.sac, config.sac_steps, rng,
+                 loop="sac-imu", progress=progress)
         refined = _make_attacker(policy, sensor, config.budget, "imu")
         refined_metrics = evaluate_attacker(
             refined, victim_factory, config.eval_episodes

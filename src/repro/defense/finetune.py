@@ -171,6 +171,10 @@ def adversarial_finetune_sac(
         policy, sac_config, rng, injector=randomized, progress=progress,
         loop_label="sac-finetune", scenario=scenario,
     )
-    agent = EndToEndAgent(refined, observation=DrivingObservation())
+    scenario = scenario or ScenarioConfig()
+    agent = EndToEndAgent(
+        refined,
+        observation=DrivingObservation(reference_speed=scenario.ego_speed),
+    )
     agent.name = f"adv-finetuned-sac(rho={config.rho:.2f})"
     return agent

@@ -1,4 +1,4 @@
-"""Resumable training state for the SAC loops.
+"""Resumable training state for the SAC loop.
 
 A :class:`TrainState` captures everything a SAC training loop needs to
 continue *bit-identically* after a crash: actor/critic/target weights,
@@ -13,18 +13,15 @@ have made.
 keep-last-K rotation, corrupt-snapshot fallback), and
 :class:`SacLoopGuard` packages the whole protocol — resume, fault
 hooks, periodic snapshots, and watchdog checkpoint-and-halt — behind
-four calls that all three SAC loops share.
+the calls :func:`repro.rl.loop.sac_loop` makes.
 
 Configuration comes from :class:`repro.rl.sac.SacConfig`
 (``checkpoint_every``, ``checkpoint_dir``, ``checkpoint_keep``,
-``resume``, ``halt_on_alert``) with process-wide environment overrides
-``REPRO_CHECKPOINT_EVERY``, ``REPRO_CHECKPOINT_DIR``,
-``REPRO_CHECKPOINT_KEEP``, ``REPRO_RESUME``, ``REPRO_HALT_ON_ALERT``.
+``resume``, ``halt_on_alert``).
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,52 +52,6 @@ _WATCH_FIELDS = (
 )
 
 
-# -- configuration ------------------------------------------------------------------
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw.strip() else default
-    except ValueError:
-        return default
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def checkpoint_interval(configured: int | None = None) -> int:
-    """Snapshot cadence in env steps (0 = disabled).
-
-    An explicit positive ``configured`` value wins; otherwise
-    ``REPRO_CHECKPOINT_EVERY`` is consulted.
-    """
-    if configured:
-        return max(int(configured), 0)
-    return max(_env_int("REPRO_CHECKPOINT_EVERY", 0), 0)
-
-
-def checkpoint_keep(configured: int | None = None) -> int:
-    """How many periodic snapshots to retain (minimum 1)."""
-    if configured:
-        return max(int(configured), 1)
-    return max(_env_int("REPRO_CHECKPOINT_KEEP", 3), 1)
-
-
-def checkpoint_dir(configured: str | None = None) -> str:
-    """Base snapshot directory; each loop appends its label."""
-    return configured or os.environ.get("REPRO_CHECKPOINT_DIR", "") or "checkpoints"
-
-
-def resume_enabled(configured: bool = False) -> bool:
-    return bool(configured) or _env_flag("REPRO_RESUME")
-
-
-def halt_enabled(configured: bool = False) -> bool:
-    return bool(configured) or _env_flag("REPRO_HALT_ON_ALERT")
-
-
 # -- state capture ------------------------------------------------------------------
 
 
@@ -111,10 +62,8 @@ class TrainState:
     loop: str
     #: The next environment-step index the loop will execute.
     step: int
-    #: Episodes finished so far (the loop-local counter).
+    #: Episodes finished so far.
     episode: int
-    #: ``env._episode`` for envs that track it (log cadence on resume).
-    env_episode: int
     total_updates: int
     #: ``rng.bit_generator.state`` — a JSON-able dict of Python ints.
     rng_state: dict
@@ -127,7 +76,6 @@ class TrainState:
             "loop": self.loop,
             "step": self.step,
             "episode": self.episode,
-            "env_episode": self.env_episode,
             "total_updates": self.total_updates,
             "final": self.final,
         }
@@ -138,7 +86,6 @@ def capture(
     loop: str,
     step: int,
     episode: int,
-    env_episode: int,
     rng: np.random.Generator,
     final: bool = False,
 ) -> TrainState:
@@ -164,7 +111,6 @@ def capture(
         loop=loop,
         step=int(step),
         episode=int(episode),
-        env_episode=int(env_episode),
         total_updates=int(sac.total_updates),
         rng_state=rng.bit_generator.state,
         arrays=arrays,
@@ -213,7 +159,6 @@ def load_state(path: str | Path) -> TrainState:
         loop=str(info.get("loop", "")),
         step=int(info["step"]),
         episode=int(info.get("episode", 0)),
-        env_episode=int(info.get("env_episode", 0)),
         total_updates=int(info.get("total_updates", 0)),
         rng_state=info["rng_state"],
         arrays=arrays,
@@ -335,22 +280,10 @@ class TrainingHalted(RuntimeError):
 
 
 class SacLoopGuard:
-    """Crash-safety protocol for one SAC training loop.
-
-    Usage inside a loop body::
-
-        guard = SacLoopGuard(sac, loop_label, rng, trace=trace)
-        start = guard.start()                       # 0, or resumed counters
-        for step in range(start, total_steps):
-            guard.on_step(step)                     # fault-injection hook
-            if obs is None:                         # episode boundary
-                guard.at_boundary(step)             # periodic snapshot
-                obs = env.reset()
-            ...
-            stats = sac.update()
-            guard.after_update(step, stats)         # watchdog halt
-        guard.finish(total_steps)                   # final snapshot
-    """
+    """Crash-safety protocol for one run of
+    :func:`repro.rl.loop.sac_loop`: ``start`` (resume), ``on_step``
+    (fault hook), ``at_boundary`` (periodic snapshot), ``after_update``
+    (watchdog halt) and ``finish`` (final snapshot)."""
 
     def __init__(
         self,
@@ -365,20 +298,19 @@ class SacLoopGuard:
         self.loop = loop
         self.rng = rng
         self.trace = trace
-        self.every = checkpoint_interval(cfg.checkpoint_every)
-        self.resume = resume_enabled(cfg.resume)
-        self.halt = halt_enabled(cfg.halt_on_alert)
-        base = Path(checkpoint_dir(cfg.checkpoint_dir)) / loop
+        self.every = max(cfg.checkpoint_every, 0)
+        self.resume = cfg.resume
+        self.halt = cfg.halt_on_alert
         self.snapshotter: Snapshotter | None = None
         if self.every > 0 or self.resume or self.halt:
             self.snapshotter = Snapshotter(
-                base, self.every, checkpoint_keep(cfg.checkpoint_keep), loop
+                Path(cfg.checkpoint_dir) / loop, self.every,
+                max(cfg.checkpoint_keep, 1), loop,
             )
         self._watchdog = Watchdog(watch_config) if self.halt else None
         # Loop counters, advanced by the loop via at_boundary/after_update.
         self.step = 0
         self.episode = 0
-        self.env_episode = 0
 
     def start(self) -> int:
         """Resume from the newest snapshot if configured; returns the
@@ -389,7 +321,6 @@ class SacLoopGuard:
                 restore(state, self.sac, self.rng)
                 self.step = state.step
                 self.episode = state.episode
-                self.env_episode = state.env_episode
                 log.info(
                     "checkpoint.resumed", loop=self.loop, step=state.step,
                     episode=state.episode, updates=state.total_updates,
@@ -405,17 +336,12 @@ class SacLoopGuard:
         if plan is not None:
             plan.on_train_step(self.loop, step)
 
-    def at_boundary(
-        self, step: int, episode: int, env_episode: int = 0
-    ) -> None:
+    def at_boundary(self, step: int, episode: int) -> None:
         """Call at each episode boundary, before the next ``env.reset``."""
         self.episode = episode
-        self.env_episode = env_episode
         if self.snapshotter is not None and self.every > 0:
             self.snapshotter.maybe_save(
-                capture(
-                    self.sac, self.loop, step, episode, env_episode, self.rng
-                )
+                capture(self.sac, self.loop, step, episode, self.rng)
             )
 
     def after_update(self, step: int, stats: dict) -> None:
@@ -442,22 +368,18 @@ class SacLoopGuard:
         path = None
         if self.snapshotter is not None:
             path = self.snapshotter.save(
-                capture(
-                    self.sac, self.loop, step, self.episode,
-                    self.env_episode, self.rng,
-                ),
+                capture(self.sac, self.loop, step, self.episode, self.rng),
                 tag="alert",
             )
         if self.trace is not None:
             self.trace.emit("alert", **alert.to_event())
         raise TrainingHalted(alert, path)
 
-    def finish(self, step: int, episode: int, env_episode: int = 0) -> None:
+    def finish(self, step: int, episode: int) -> None:
         """Write the final snapshot after the loop completes."""
         if self.snapshotter is not None and self.every > 0:
             self.snapshotter.save(
                 capture(
-                    self.sac, self.loop, step, episode, env_episode,
-                    self.rng, final=True,
+                    self.sac, self.loop, step, episode, self.rng, final=True
                 )
             )

@@ -1,7 +1,8 @@
-"""Per-update learner health emission shared by the SAC training loops.
+"""Per-update learner health emission for the SAC training loop.
 
-Every SAC loop in the repo (attacker refinement, driver refinement,
-adversarial fine-tuning) funnels its post-update statistics through a
+The SAC loop (:func:`repro.rl.loop.sac_loop`, which every SAC stage
+runs: attacker refinement, driver refinement, adversarial fine-tuning)
+funnels its post-update statistics through a
 :class:`HealthEmitter`, which writes schema-checked ``update_health``
 records (see :mod:`repro.telemetry.trace`) into the loop's trace writer
 every ``health_every`` gradient updates. The records carry everything the
@@ -9,16 +10,14 @@ live watchdogs in :mod:`repro.obsv.alerts` evaluate: losses, alpha,
 Q-value mean/max, policy entropy, actor/critic gradient norms,
 replay-buffer occupancy, and environment steps per second.
 
-Emission is off by default (``health_every = 0``); enable it per-config
-(:attr:`repro.rl.sac.SacConfig.health_every`) or process-wide with the
-``REPRO_HEALTH_EVERY`` environment variable. Like the rest of the
+Emission is off by default (``health_every = 0``); enable it with
+:attr:`repro.rl.sac.SacConfig.health_every`. Like the rest of the
 telemetry layer it is a pure observer — it never touches an RNG or feeds
 back into training.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.telemetry.trace import TraceWriter
@@ -37,21 +36,6 @@ _HEALTH_FIELDS = (
 )
 
 
-def health_interval(configured: int | None = None) -> int:
-    """Effective emission interval in updates (0 = disabled).
-
-    An explicit positive ``configured`` value wins; otherwise the
-    ``REPRO_HEALTH_EVERY`` environment variable is consulted.
-    """
-    if configured:
-        return max(int(configured), 0)
-    raw = os.environ.get("REPRO_HEALTH_EVERY", "")
-    try:
-        return max(int(raw), 0) if raw.strip() else 0
-    except ValueError:
-        return 0
-
-
 class HealthEmitter:
     """Writes one ``update_health`` record every N gradient updates."""
 
@@ -59,12 +43,12 @@ class HealthEmitter:
         self,
         trace: TraceWriter | None,
         loop: str,
-        every: int | None = None,
+        every: int = 0,
         clock=time.perf_counter,
     ) -> None:
         self.trace = trace
         self.loop = loop
-        self.every = health_interval(every)
+        self.every = max(int(every), 0)
         self._clock = clock
         self._last_time: float | None = None
         self._last_step = 0
@@ -80,7 +64,7 @@ class HealthEmitter:
         Args:
             sac: the live :class:`~repro.rl.sac.Sac` learner.
             step: the environment-step index of the enclosing loop.
-            stats: the dict returned by ``sac.update()``.
+            stats: the dict returned by :meth:`~repro.rl.sac.Sac.update`.
 
         Returns the emitted record, or ``None`` when skipped.
         """

@@ -51,24 +51,23 @@ class SacConfig:
     actor_delay: int = 0
     max_grad_norm: float = 10.0
     #: Emit one ``update_health`` trace record every this many gradient
-    #: updates (0 = disabled; ``REPRO_HEALTH_EVERY`` overrides 0).
+    #: updates (0 = disabled).
     health_every: int = 0
     #: Snapshot resumable training state every this many environment
-    #: steps (0 = disabled; ``REPRO_CHECKPOINT_EVERY`` overrides 0).
-    #: Snapshots land at the first episode boundary at or after the
-    #: due step, where the loop state is fully serializable.
+    #: steps (0 = disabled). Snapshots land at the first episode boundary
+    #: at or after the due step, where the loop state is fully
+    #: serializable.
     checkpoint_every: int = 0
-    #: Directory for training snapshots (``REPRO_CHECKPOINT_DIR``
-    #: overrides None); the loop label is appended as a subdirectory.
-    checkpoint_dir: str | None = None
-    #: Keep the newest K periodic snapshots (``REPRO_CHECKPOINT_KEEP``).
+    #: Directory for training snapshots; the loop label is appended as a
+    #: subdirectory.
+    checkpoint_dir: str = "checkpoints"
+    #: Keep the newest K periodic snapshots.
     checkpoint_keep: int = 3
-    #: Resume from the latest snapshot in the checkpoint directory
-    #: (``REPRO_RESUME``). With no snapshot present, train from scratch.
+    #: Resume from the latest snapshot in the checkpoint directory. With
+    #: no snapshot present, train from scratch.
     resume: bool = False
     #: On a critical watchdog alert (``nan_loss``/``q_divergence``),
-    #: snapshot and raise ``TrainingHalted`` instead of training on
-    #: (``REPRO_HALT_ON_ALERT``).
+    #: snapshot and raise ``TrainingHalted`` instead of training on.
     halt_on_alert: bool = False
 
 

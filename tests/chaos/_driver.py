@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from repro.rl.checkpoint import TrainingHalted
+from repro.rl.loop import sac_loop
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.rl.sac import SacConfig
 from repro.sim.config import ScenarioConfig
@@ -44,7 +45,6 @@ def run_attack(args) -> None:
     from repro.agents.modular import ModularAgent
     from repro.core import CameraAttackObservation
     from repro.core.attack_env import AttackEnv
-    from repro.core.training import AttackTrainConfig, _sac_refine
 
     rng = np.random.default_rng(42)
     env = AttackEnv(
@@ -57,9 +57,8 @@ def run_attack(args) -> None:
     policy = SquashedGaussianPolicy(
         env.observation_dim, 1, (16, 16), np.random.default_rng(2)
     )
-    config = AttackTrainConfig(sac_steps=args.steps)
-    config.sac = tiny_sac(args)
-    _sac_refine(policy, env, config, rng, trace=TraceWriter())
+    sac_loop(env, policy, tiny_sac(args), args.steps, rng, loop="sac-attack",
+             trace=TraceWriter())
 
 
 def run_driver(args) -> None:

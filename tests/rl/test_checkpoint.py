@@ -13,19 +13,24 @@ import pytest
 from repro import faults
 from repro.agents.e2e.training import DriverTrainConfig, refine_driver_sac
 from repro.agents.modular import ModularAgent
-from repro.core import CameraAttackObservation
+from repro.core import (
+    CameraAttackObservation,
+    ImuAttackObservation,
+    InjectionChannel,
+    InjectionChannelConfig,
+    LearnedAttacker,
+)
 from repro.core.attack_env import AttackEnv
-from repro.core.training import AttackTrainConfig, _sac_refine
 from repro.faults import FaultInjected
 from repro.rl.checkpoint import (
     Snapshotter,
     TrainingHalted,
     capture,
-    checkpoint_interval,
     load_state,
     restore,
     save_state,
 )
+from repro.rl.loop import sac_loop
 from repro.rl.nn.layers import Mlp
 from repro.rl.nn.optim import Adam, Sgd
 from repro.rl.policy import SquashedGaussianPolicy
@@ -158,7 +163,7 @@ class TestTrainStateRoundtrip:
 
     def test_capture_restore_save_load(self, tmp_path):
         sac, rng = self._make_sac(11)
-        state = capture(sac, "test-loop", 57, 4, 9, rng)
+        state = capture(sac, "test-loop", 57, 4, rng)
         path = save_state(state, tmp_path / "snap")
         loaded = load_state(path)
         assert loaded.counters() == state.counters()
@@ -176,6 +181,17 @@ class TestTrainStateRoundtrip:
         for k, v in sac.state_dict().items():
             np.testing.assert_array_equal(v, sac2.state_dict()[k], err_msg=k)
 
+    def test_load_state_ignores_retired_env_episode(self, tmp_path):
+        # Snapshots written before the loops shared one episode counter
+        # also carried ``env_episode``; they still load.
+        sac, rng = self._make_sac(11)
+        state = capture(sac, "test-loop", 57, 4, rng)
+        meta = dict(state.counters(), env_episode=5, rng_state=state.rng_state)
+        path = save_checkpoint(
+            tmp_path / "old", state.arrays, {"train_state": meta}
+        )
+        assert load_state(path).counters() == state.counters()
+
     def test_load_state_rejects_plain_checkpoint(self, tmp_path):
         from repro.utils.serialization import CheckpointCorruptError
 
@@ -186,7 +202,7 @@ class TestTrainStateRoundtrip:
 
 class TestSnapshotter:
     def _state(self, sac, rng, step):
-        return capture(sac, "loop", step, 0, 0, rng)
+        return capture(sac, "loop", step, 0, rng)
 
     def test_cadence_and_rotation(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -203,7 +219,7 @@ class TestSnapshotter:
         sac = Sac(2, 1, tiny_sac(), rng=rng)
         snap = Snapshotter(tmp_path, every=1, keep=5, loop="loop")
         snap.save(self._state(sac, rng, 10))
-        good = capture(sac, "loop", 20, 0, 0, rng)
+        good = capture(sac, "loop", 20, 0, rng)
         snap.save(good)
         newest = snap.save(self._state(sac, rng, 30))
         faults.truncate_tail(newest, drop_bytes=200)
@@ -233,11 +249,6 @@ class TestSnapshotter:
         state = snap.latest_state()
         assert state.step == 10
 
-    def test_interval_env_override(self, monkeypatch):
-        assert checkpoint_interval(25) == 25
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "40")
-        assert checkpoint_interval(0) == 40
-        assert checkpoint_interval(25) == 25  # explicit config wins
 
 
 # -- resume determinism: the tentpole acceptance proof ------------------------------
@@ -281,28 +292,48 @@ def _crash_then_resume(run, ckpt_dir, loop, monkeypatch):
     )
 
 
+def _attack_run(sensor_type, loop, teacher=None):
+    """A tiny ``sac_loop`` run in an :class:`AttackEnv` seeing ``sensor_type``."""
+
+    def run(ckpt_dir, resume):
+        rng = np.random.default_rng(42)
+        env = AttackEnv(
+            lambda w: ModularAgent(w.road),
+            sensor_type(),
+            budget=1.0,
+            scenario=SCENARIO,
+            rng=rng,
+            teacher=teacher,
+        )
+        policy = SquashedGaussianPolicy(
+            env.observation_dim, 1, (16, 16), np.random.default_rng(2)
+        )
+        config = tiny_sac(
+            checkpoint_every=EVERY, checkpoint_dir=str(ckpt_dir),
+            checkpoint_keep=10, resume=resume,
+        )
+        sac_loop(env, policy, config, STEPS, rng, loop=loop,
+                 trace=TraceWriter())
+
+    return run
+
+
 class TestResumeDeterminism:
     def test_attack_loop(self, tmp_path, monkeypatch):
-        def run(ckpt_dir, resume):
-            rng = np.random.default_rng(42)
-            env = AttackEnv(
-                lambda w: ModularAgent(w.road),
-                CameraAttackObservation(),
-                budget=1.0,
-                scenario=SCENARIO,
-                rng=rng,
-            )
-            policy = SquashedGaussianPolicy(
-                env.observation_dim, 1, (16, 16), np.random.default_rng(2)
-            )
-            config = AttackTrainConfig(sac_steps=STEPS)
-            config.sac = tiny_sac(
-                checkpoint_every=EVERY, checkpoint_dir=str(ckpt_dir),
-                checkpoint_keep=10, resume=resume,
-            )
-            _sac_refine(policy, env, config, rng, trace=TraceWriter())
-
+        run = _attack_run(CameraAttackObservation, "sac-attack")
         _crash_then_resume(run, tmp_path, "sac-attack", monkeypatch)
+
+    def test_imu_loop(self, tmp_path, monkeypatch):
+        camera = CameraAttackObservation()
+        teacher = LearnedAttacker(
+            SquashedGaussianPolicy(
+                camera.observation_dim, 1, (8,), np.random.default_rng(4)
+            ),
+            camera,
+            channel=InjectionChannel(InjectionChannelConfig(budget=1.0)),
+        )
+        run = _attack_run(ImuAttackObservation, "sac-imu", teacher)
+        _crash_then_resume(run, tmp_path, "sac-imu", monkeypatch)
 
     def test_driver_loop(self, tmp_path, monkeypatch):
         from repro.agents.e2e.observation import DrivingObservation
@@ -327,11 +358,6 @@ class TestResumeDeterminism:
     def test_finetune_loop(self, tmp_path, monkeypatch):
         from repro.agents.e2e import EndToEndAgent
         from repro.agents.e2e.observation import DrivingObservation
-        from repro.core import (
-            InjectionChannel,
-            InjectionChannelConfig,
-            LearnedAttacker,
-        )
         from repro.defense import FinetuneConfig, adversarial_finetune_sac
 
         sensor = CameraAttackObservation()
@@ -378,14 +404,14 @@ class TestWatchdogHalt:
         policy = SquashedGaussianPolicy(
             env.observation_dim, 1, (16, 16), np.random.default_rng(2)
         )
-        config = AttackTrainConfig(sac_steps=STEPS)
-        config.sac = tiny_sac(
+        config = tiny_sac(
             checkpoint_every=EVERY, checkpoint_dir=str(tmp_path),
             halt_on_alert=True,
         )
         trace = TraceWriter()
         with pytest.raises(TrainingHalted) as excinfo:
-            _sac_refine(policy, env, config, rng, trace=trace)
+            sac_loop(env, policy, config, STEPS, rng, loop="sac-attack",
+                     trace=trace)
         halted = excinfo.value
         assert halted.alert.rule == "nan_loss"
         assert halted.checkpoint is not None

@@ -9,19 +9,31 @@ import numpy as np
 import pytest
 
 from repro.agents.e2e import EndToEndAgent
+from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.e2e.training import (
     DriverTrainConfig,
+    evaluate_driver,
     refine_driver_sac,
     train_driver,
 )
 from repro.agents.modular import ModularAgent
-from repro.core import CameraAttackObservation
+from repro.core import (
+    CameraAttackObservation,
+    InjectionChannel,
+    InjectionChannelConfig,
+    LearnedAttacker,
+)
 from repro.core.attack_env import AttackEnv
-from repro.core.training import AttackTrainConfig, _sac_refine
 from repro.defense import FinetuneConfig, adversarial_finetune_sac
 from repro.rl.bc import BcConfig
+from repro.rl.loop import sac_loop
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.rl.sac import SacConfig
+from repro.sim.config import ScenarioConfig
+from repro.telemetry.trace import TraceWriter
+
+#: A scenario whose ego speed is not the encoder's 16 m/s default.
+SLOW = ScenarioConfig(ego_speed=12.0, max_steps=25)
 
 
 def tiny_sac(**overrides):
@@ -34,6 +46,13 @@ def tiny_sac(**overrides):
     )
     defaults.update(overrides)
     return SacConfig(**defaults)
+
+
+def fresh_driver_policy():
+    return SquashedGaussianPolicy(
+        DrivingObservation().observation_dim, 2, (16, 16),
+        np.random.default_rng(2),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +73,37 @@ class TestDriverSacRefinement:
         )
         assert policy is tiny_driver.policy  # refined in place
         assert "mean_return" in metrics
+
+    def test_train_steps_carry_episode(self):
+        config = DriverTrainConfig(sac_steps=60, eval_episodes=1)
+        config.sac = tiny_sac()
+        trace = TraceWriter()
+        refine_driver_sac(
+            fresh_driver_policy(), config, np.random.default_rng(0),
+            trace=trace, scenario=SLOW,
+        )
+        steps = [e for e in trace.events if e["event"] == "train_step"]
+        assert len(steps) == 60
+        assert all(e["loop"] == "sac-driver" for e in steps)
+        # Finished-episode count: the record that ends episode k still
+        # carries k, the next step carries k + 1.
+        for prev, cur in zip(steps, steps[1:]):
+            assert cur["episode"] == prev["episode"] + int(prev["done"])
+        assert steps[0]["episode"] == 0 and steps[-1]["episode"] >= 2
+
+    def test_evaluated_with_training_observation_scale(self):
+        config = DriverTrainConfig(sac_steps=20, eval_episodes=1)
+        config.sac = tiny_sac()
+        policy, metrics = refine_driver_sac(
+            fresh_driver_policy(), config, np.random.default_rng(0),
+            trace=TraceWriter(), scenario=SLOW,
+        )
+        agent = EndToEndAgent(
+            policy, observation=DrivingObservation(reference_speed=12.0)
+        )
+        assert metrics == evaluate_driver(
+            agent, 1, seed=10_000, scenario=SLOW
+        )
 
     def test_train_driver_with_sac_selection(self):
         config = DriverTrainConfig(
@@ -78,9 +128,8 @@ class TestAttackerSacRefinement:
         policy = SquashedGaussianPolicy(
             env.observation_dim, 1, (16, 16), np.random.default_rng(2)
         )
-        config = AttackTrainConfig(sac_steps=50)
-        config.sac = tiny_sac()
-        _sac_refine(policy, env, config, np.random.default_rng(3))
+        sac_loop(env, policy, tiny_sac(), 50, np.random.default_rng(3),
+                 loop="sac-attack")
         # Policy still produces valid actions afterwards.
         action = policy.act(np.zeros(env.observation_dim))
         assert abs(float(action[0])) <= 1.0
@@ -88,12 +137,6 @@ class TestAttackerSacRefinement:
 
 class TestSacAdversarialFinetune:
     def test_adversarial_finetune_sac_runs(self, tiny_driver):
-        from repro.core import (
-            InjectionChannel,
-            InjectionChannelConfig,
-            LearnedAttacker,
-        )
-
         sensor = CameraAttackObservation()
         attack_policy = SquashedGaussianPolicy(
             sensor.observation_dim, 1, (8,), np.random.default_rng(4)
@@ -113,3 +156,20 @@ class TestSacAdversarialFinetune:
         )
         assert isinstance(tuned, EndToEndAgent)
         assert "sac" in tuned.name
+
+    def test_returned_agent_uses_scenario_speed(self, tiny_driver):
+        sensor = CameraAttackObservation()
+        attacker = LearnedAttacker(
+            SquashedGaussianPolicy(
+                sensor.observation_dim, 1, (8,), np.random.default_rng(4)
+            ),
+            sensor,
+            channel=InjectionChannel(InjectionChannelConfig(budget=1.0)),
+        )
+        sac_config = DriverTrainConfig(sac_steps=10, eval_episodes=1)
+        sac_config.sac = tiny_sac(hidden=tiny_driver.policy.hidden)
+        tuned = adversarial_finetune_sac(
+            tiny_driver, attacker, FinetuneConfig(rho=0.5, episodes=1),
+            sac_config=sac_config, scenario=SLOW,
+        )
+        assert tuned.observation.reference_speed == SLOW.ego_speed
