@@ -13,7 +13,9 @@ attacks (claims anchor to EXPERIMENTS.md):
 
 * modular pipeline, nominal and under the camera attacker at eps 1.0;
 * end-to-end driver, nominal and under the camera attacker at eps 1.0
-  and 0.5, plus the IMU attacker at eps 1.0.
+  and 0.5, plus the IMU attacker at eps 1.0;
+* the Fig. 7 defenders: the Simplex-switched PNN agent at sigma 0.2 and
+  0.4 under the camera attacker at eps 1.0.
 
 A missing checkpoint or a cell without complete episodes is an error:
 the script lists what is missing and exits nonzero, so the gate never
@@ -35,6 +37,7 @@ from pathlib import Path
 
 from repro.eval.episodes import run_seeds
 from repro.experiments import registry
+from repro.experiments.fig6 import victim_factory_for
 from repro.obsv.compare import StatConfig, cell_key, metric_snapshot
 from repro.obsv.loader import split_episodes
 from repro.telemetry.trace import TraceWriter
@@ -89,6 +92,22 @@ def _cells() -> list[dict]:
             "needs": (registry.E2E_DRIVER, registry.IMU_ATTACKER),
             "claim": "EXPERIMENTS.md: IMU attack vs e2e, eps 1.0",
         },
+        *(
+            {
+                "victim": victim_factory_for(f"pnn sigma={sigma}", 1.0),
+                "attacker": lambda: registry.camera_attacker(1.0, "e2e"),
+                "needs": (
+                    registry.E2E_DRIVER,
+                    registry.PNN_COLUMN,
+                    registry.CAMERA_ATTACKER_E2E,
+                ),
+                "claim": (
+                    f"EXPERIMENTS.md: PNN sigma {sigma} vs camera attack,"
+                    " eps 1.0 (Fig. 7)"
+                ),
+            }
+            for sigma in (0.2, 0.4)
+        ),
     ]
 
 

@@ -23,6 +23,7 @@ from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.modular.agent import ModularAgent, ModularAgentConfig
 from repro.agents.modular.behavior import BatchBehaviorPlanner
 from repro.agents.modular.pid import BatchPid
+from repro.rl.pnn import ProgressivePolicy
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.sim.config import EPSILON_MECH
 
@@ -63,7 +64,13 @@ class BatchModularActor:
         target_xy, _ = batch.road.to_world_batch(target_s, target_d)
         dx = target_xy[:, 0] - batch.x[:, 0]
         dy = target_xy[:, 1] - batch.y[:, 0]
-        bearing = np.arctan2(dy, dx) - batch.yaw[:, 0]
+        # libm's atan2 as in ModularAgent.act: numpy's differs in the
+        # last bit for some angles, which the IMU attacker's closed loop
+        # grows past the engines' tolerance.
+        bearing = np.array(
+            [math.atan2(y, x) for y, x in zip(dy.tolist(), dx.tolist())]
+        )
+        bearing = bearing - batch.yaw[:, 0]
         bearing = (bearing + math.pi) % (2.0 * math.pi) - math.pi
         # Positive steer turns right; a target to the left needs negative.
         steer = self._lateral.step(-bearing)
@@ -72,11 +79,19 @@ class BatchModularActor:
 
 
 class BatchPolicyActor:
-    """Batched deterministic rollout of an end-to-end driving policy."""
+    """Batched deterministic rollout of an end-to-end driving policy.
+
+    The policy is a squashed Gaussian or a progressive (PNN) policy; the
+    twin of a :class:`~repro.defense.pnn_defense.SimplexSwitchedAgent`
+    is this actor over the switcher's active sub-agent. ``exact_rows``
+    goes to the policy's ``act_batch``.
+    """
 
     name = "end-to-end"
 
-    def __init__(self, agent: EndToEndAgent, n: int) -> None:
+    def __init__(
+        self, agent: EndToEndAgent, n: int, exact_rows: bool = False
+    ) -> None:
         template = agent.observation
         self.policy = agent.policy
         self.observation = DrivingObservation(
@@ -85,54 +100,77 @@ class BatchPolicyActor:
             reference_speed=template.reference_speed,
         )
         self.plan = self.policy.inference_plan(n)
+        self.exact_rows = exact_rows
 
     def reset(self, batch) -> None:
         self.observation.reset()
 
     def act_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
         obs = self.observation.observe_batch(batch)
-        actions = self.policy.act_batch(obs, deterministic=True, plan=self.plan)
+        actions = self.policy.act_batch(
+            obs, deterministic=True, plan=self.plan, exact_rows=self.exact_rows
+        )
         steer = np.clip(actions[:, 0], -EPSILON_MECH, EPSILON_MECH)
         thrust = np.clip(actions[:, 1], -EPSILON_MECH, EPSILON_MECH)
         return steer, thrust
 
 
-def wrong_type(owner, **expected: type) -> str | None:
-    """The first attribute of ``owner`` not exactly of its expected type."""
-    for attribute, kind in expected.items():
+def wrong_type(owner, **expected: type | tuple[type, ...]) -> str | None:
+    """The first attribute of ``owner`` not exactly of an expected type."""
+    for attribute, kinds in expected.items():
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
         got = type(getattr(owner, attribute))
-        if got is not kind:
+        if got not in kinds:
+            names = " or ".join(kind.__name__ for kind in kinds)
             return (
-                f"batched rollout needs {attribute} of type {kind.__name__},"
+                f"batched rollout needs {attribute} of type {names},"
                 f" got {got.__name__}"
             )
     return None
+
+
+def _simplex_type() -> type:
+    # The defense layer sits above the agents; import it on first use.
+    from repro.defense.pnn_defense import SimplexSwitchedAgent
+
+    return SimplexSwitchedAgent
 
 
 def unbatchable_victim(victim) -> str | None:
     """Why ``victim`` has no lockstep twin, or ``None`` when it has one.
 
     Types match exactly, so a subclass that overrides ``act()`` always
-    runs on the scalar path.
+    runs on the scalar path. A Simplex switcher is judged by its active
+    sub-agent: its believed budget is fixed for the episode, so it never
+    switches. The detector-driven switcher, which does, stays scalar.
     """
     kind = type(victim)
     if kind is ModularAgent:
         return None
+    if kind is _simplex_type():
+        victim = victim.active
+        kind = type(victim)
     if kind is not EndToEndAgent:
         return f"no batched twin for agent type {kind.__name__}"
     if not victim.deterministic:
         return "batched rollout supports deterministic policies only"
     return wrong_type(
-        victim, policy=SquashedGaussianPolicy, observation=DrivingObservation
+        victim,
+        policy=(SquashedGaussianPolicy, ProgressivePolicy),
+        observation=DrivingObservation,
     )
 
 
-def as_batch_actor(victim, batch):
+def as_batch_actor(victim, batch, exact_rows: bool = False):
     """The lockstep twin of a scalar driving agent, sized for ``batch``.
+
+    ``exact_rows`` makes a policy twin infer row by row, bit for bit with
+    the scalar agent (see :func:`repro.rl.policy.row_stack`).
 
     Raises :class:`TypeError` with the reason from
     :func:`unbatchable_victim` for agents with no batched path (custom
-    agents, stochastic policies, progressive columns).
+    agents and subclasses, stochastic policies, the detector-driven
+    switcher).
     """
     reason = unbatchable_victim(victim)
     if reason is not None:
@@ -141,4 +179,7 @@ def as_batch_actor(victim, batch):
         return BatchModularActor(
             batch.road, batch.n, config=victim.config, dt=victim._lateral.dt
         )
-    return BatchPolicyActor(victim, batch.n)
+    if type(victim) is _simplex_type():
+        # Only the active encoder is ever read, so only it is rendered.
+        victim = victim.active
+    return BatchPolicyActor(victim, batch.n, exact_rows=exact_rows)

@@ -21,6 +21,7 @@ from repro.core.observations import CameraAttackObservation, ImuAttackObservatio
 from repro.core.rewards import BETA, _omega, _omega_batch
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.sensors.base import Sensor
+from repro.sensors.noise import NoiseModel
 from repro.sim.vehicle import Control
 from repro.sim.world import World
 from repro.utils.serialization import load_checkpoint, save_checkpoint
@@ -206,6 +207,7 @@ class BatchNullAttacker:
 
     name = "none"
     budget = 0.0
+    exact_rows = False
 
     def __init__(self, n: int) -> None:
         self.n = int(n)
@@ -222,6 +224,7 @@ class BatchOracleAttacker:
     """Vectorized :class:`OracleAttacker`: one geometry pass for N episodes."""
 
     name = "oracle"
+    exact_rows = False
 
     def __init__(
         self,
@@ -269,21 +272,35 @@ class BatchOracleAttacker:
 class BatchLearnedAttacker:
     """Batched deterministic rollout of a :class:`LearnedAttacker`.
 
-    Rebuilds the camera observation pipeline with batch support and runs
-    the policy through its fused inference plan. Only deterministic
-    camera attackers are supported: the IMU trace sensor has no batched
-    observation path, and stochastic evaluation is done on the scalar
-    path where noise streams are per-episode by construction.
+    Rebuilds the attacker's camera or IMU observation from the scalar
+    sensor's config (fresh frame stack or IMU window, same scaling) and
+    runs the policy through its fused inference plan. Stochastic
+    policies, noisy IMUs and noisy channels stay on the scalar path,
+    where noise streams are per-episode by construction.
     """
 
     def __init__(self, attacker: LearnedAttacker, n: int) -> None:
         sensor = attacker.sensor
         self.name = attacker.name
         self.policy = attacker.policy
-        self.sensor = CameraAttackObservation(
-            camera_config=sensor._stack.inner.config,
-            frames=sensor._stack.k,
-        )
+        #: The IMU attacker steers on a continuous trace of the ego's
+        #: motion. That closed loop grows the last-bit differences of
+        #: batched inference past the engines' 1e-9 tolerance within an
+        #: episode (~1e-7 by 180 ticks), so with it every policy of the
+        #: batch, the victim's too, infers row by row, bit for bit with
+        #: the scalar path. The camera's raster absorbs such differences.
+        self.exact_rows = type(sensor) is ImuAttackObservation
+        if self.exact_rows:
+            self.sensor = ImuAttackObservation(
+                imu_config=sensor._imu.config,
+                accel_scale=sensor.accel_scale,
+                yaw_rate_scale=sensor.yaw_rate_scale,
+            )
+        else:
+            self.sensor = CameraAttackObservation(
+                camera_config=sensor._stack.inner.config,
+                frames=sensor._stack.k,
+            )
         self.channel = BatchInjectionChannel(attacker.channel.config, n=n)
         self.plan = self.policy.inference_plan(n)
 
@@ -298,7 +315,7 @@ class BatchLearnedAttacker:
     def normalized_actions(self, batch) -> np.ndarray:
         obs = self.sensor.observe_batch(batch)
         actions = self.policy.act_batch(
-            obs, deterministic=True, plan=self.plan
+            obs, deterministic=True, plan=self.plan, exact_rows=self.exact_rows
         )
         return actions[:, 0]
 
@@ -310,8 +327,9 @@ def unbatchable_attacker(attacker) -> str | None:
     """Why ``attacker`` has no lockstep twin, or ``None`` when it has one.
 
     Types match exactly, as in
-    :func:`~repro.agents.batch.unbatchable_victim`. IMU sensors,
-    stochastic policies and noisy injection channels stay scalar, where
+    :func:`~repro.agents.batch.unbatchable_victim`. Camera and IMU
+    sensors both have twins; stochastic policies, IMU noise models other
+    than the identity and noisy injection channels stay scalar, where
     each episode draws its own noise stream.
     """
     kind = type(attacker)
@@ -324,9 +342,11 @@ def unbatchable_attacker(attacker) -> str | None:
     reason = wrong_type(
         attacker,
         channel=InjectionChannel,
-        sensor=CameraAttackObservation,
+        sensor=(CameraAttackObservation, ImuAttackObservation),
         policy=SquashedGaussianPolicy,
     )
+    if reason is None and type(attacker.sensor) is ImuAttackObservation:
+        reason = wrong_type(attacker.sensor._imu, noise=NoiseModel)
     if reason is None and attacker.channel.config.noise_std > 0.0:
         reason = "batched rollout needs a noise-free injection channel"
     return reason
@@ -336,8 +356,8 @@ def as_batch_attacker(attacker, batch):
     """The lockstep twin of a scalar attacker, sized for ``batch``.
 
     Raises :class:`TypeError` with the reason from
-    :func:`unbatchable_attacker` for attackers with no batched path (IMU
-    sensors, stochastic policies or channels, custom injectors).
+    :func:`unbatchable_attacker` for attackers with no batched path
+    (stochastic policies, noisy IMUs or channels, custom injectors).
     """
     reason = unbatchable_attacker(attacker)
     if reason is not None:

@@ -65,11 +65,18 @@ class ImuAttackObservation(Sensor):
         self.yaw_rate_scale = float(yaw_rate_scale)
 
     def observe(self, world: World) -> np.ndarray:
-        trace = self._imu.observe(world)
+        return self._scaled(self._imu.observe(world))
+
+    def observe_batch(self, batch) -> np.ndarray:
+        return self._scaled(self._imu.observe_batch(batch))
+
+    def _scaled(self, trace: np.ndarray) -> np.ndarray:
+        """A scaled copy: the first window by ``accel_scale``, the rest by
+        ``yaw_rate_scale`` (the last axis of one trace or ``[N, dim]``)."""
         window = self._imu.config.window
         scaled = trace.copy()
-        scaled[:window] /= self.accel_scale
-        scaled[window:] /= self.yaw_rate_scale
+        scaled[..., :window] /= self.accel_scale
+        scaled[..., window:] /= self.yaw_rate_scale
         return scaled
 
     def reset(self) -> None:

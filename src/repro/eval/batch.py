@@ -98,9 +98,9 @@ def run_episode_batch(
         scenario, rng=np.random.default_rng(seeds[0]), road=batch.road
     )
     victim = victim_factory(template)
-    actor = as_batch_actor(victim, batch)
-    actor.reset(batch)
     battacker = as_batch_attacker(attacker, batch)
+    actor = as_batch_actor(victim, batch, exact_rows=battacker.exact_rows)
+    actor.reset(batch)
 
     planner = BatchBehaviorPlanner(batch.road)
     planner.reset(batch)

@@ -217,19 +217,20 @@ class Mlp(Module):
     ) -> np.ndarray:
         """Fast inference path without building an autodiff graph.
 
-        With ``plan`` (from :meth:`inference_plan`) and a 2-D input that
-        fits, every Linear+activation pair runs fused into the plan's
-        preallocated buffers — no per-call allocations, identical results
-        (``np.matmul(out=)`` + in-place bias/activation compute the same
-        ops as the allocating expressions). The returned array aliases the
-        plan's last buffer and is only valid until the next planned call.
+        With ``plan`` (from :meth:`inference_plan`) and a 2-D or 3-D input
+        whose rows (all but the last axis) fit, every Linear+activation
+        pair runs fused into the plan's preallocated buffers — no per-call
+        allocations, identical results (``np.matmul(out=)`` + in-place
+        bias/activation compute the same ops as the allocating
+        expressions). The returned array aliases the plan's last buffer
+        and is only valid until the next planned call.
         """
+        batch = math.prod(x.shape[:-1])
         hook = autograd.FLOP_HOOK
         if hook is not None:
             # One batched sweep over the whole stack: matmul + bias +
             # activation per layer, same bookkeeping as the taped path
             # (shared by the allocating and the fused plan path).
-            batch = 1 if x.ndim == 1 else x.shape[0]
             for layer in self.layers:
                 hook.matmul(batch, layer.in_dim, layer.out_dim)
                 hook.elementwise("add_fwd", batch * layer.out_dim)
@@ -242,10 +243,11 @@ class Mlp(Module):
                     _activation_op(self.output_activation),
                     batch * self.layers[-1].out_dim,
                 )
-        if plan is not None and x.ndim == 2 and plan.fits(x.shape[0]):
-            batch = x.shape[0]
+        if plan is not None and x.ndim in (2, 3) and plan.fits(batch):
             for index, layer in enumerate(self.layers):
-                out = plan.out(index, batch)
+                out = plan.out(index, batch).reshape(
+                    x.shape[:-1] + (layer.out_dim,)
+                )
                 np.matmul(x, layer.weight.data, out=out)
                 out += layer.bias.data
                 activation = (

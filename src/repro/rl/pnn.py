@@ -16,6 +16,7 @@ from repro.rl.policy import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     SquashedGaussianPolicy,
+    row_stack,
 )
 
 
@@ -120,6 +121,34 @@ class ProgressivePolicy(Module):
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         return SquashedGaussianPolicy.act(self, obs, deterministic, rng)
+
+    def inference_plan(self, max_batch: int) -> None:
+        """No fused plan: :meth:`act_batch` runs :meth:`forward_np`."""
+        return None
+
+    def act_batch(
+        self,
+        obs: np.ndarray,
+        deterministic: bool = True,
+        plan: None = None,
+        exact_rows: bool = False,
+    ) -> np.ndarray:
+        """Deterministic actions for a ``[batch, obs_dim]`` matrix.
+
+        The lockstep twin of ``act(obs, deterministic=True)``, as
+        :meth:`SquashedGaussianPolicy.act_batch
+        <repro.rl.policy.SquashedGaussianPolicy.act_batch>` is; ``plan``
+        mirrors its signature and is unused. Sampling rollouts stay on
+        the scalar path.
+        """
+        if not deterministic:
+            raise NotImplementedError(
+                "progressive policies batch deterministic rollouts only"
+            )
+        if obs.ndim != 2:
+            raise ValueError("act_batch expects a [batch, obs_dim] matrix")
+        mean, _ = self.forward_np(row_stack(obs) if exact_rows else obs)
+        return np.tanh(mean.reshape(obs.shape[0], self.action_dim))
 
     def sample_np(
         self, obs: np.ndarray, rng: np.random.Generator

@@ -24,8 +24,7 @@ class Sensor(abc.ABC):
     def observe_batch(self, batch) -> np.ndarray:
         """Observations for every episode of a batch world, ``[N, dim]``.
 
-        Optional: only sensors wired into the batch engine implement it
-        (the IMU ring buffer, for instance, stays scalar-only).
+        Optional: only sensors wired into the batch engine implement it.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no batched observation path"

@@ -52,6 +52,8 @@ class Imu(Sensor):
         self._accel_long: deque[float] = deque(maxlen=window)
         self._accel_lat: deque[float] = deque(maxlen=window)
         self._yaw_rate: deque[float] = deque(maxlen=window)
+        #: ``[N, channels, window]`` windows of the batched path.
+        self._batch_window: np.ndarray | None = None
 
     @timed("imu.observe")
     def observe(self, world: World) -> np.ndarray:
@@ -68,6 +70,31 @@ class Imu(Sensor):
             channels.insert(1, self._padded(self._accel_lat))
         return np.concatenate(channels)
 
+    def observe_batch(self, batch) -> np.ndarray:
+        """Windows for every episode of a batch world, ``[N, dim]``.
+
+        Drains the ego samples ``BatchWorld.tick`` recorded into an
+        ``[N, channels, window]`` buffer, zero-padded at episode start,
+        with the channel order of :meth:`observe`. Only the identity
+        noise model has a batched path: noisy IMUs draw a per-episode
+        stream and stay scalar.
+        """
+        if type(self.noise) is not NoiseModel:
+            raise NotImplementedError(
+                f"no batched path for IMU noise {type(self.noise).__name__}"
+            )
+        channels = [batch.imu_accel_long, batch.imu_yaw_rate]
+        if self.config.include_lateral:
+            channels.insert(1, batch.imu_accel_lat)
+        samples = np.stack(channels, axis=1)
+        window = self.config.window
+        if self._batch_window is None:
+            self._batch_window = np.zeros((batch.n, len(channels), window))
+        if samples.shape[2]:
+            joined = np.concatenate([self._batch_window, samples], axis=2)
+            self._batch_window = joined[:, :, -window:]
+        return self._batch_window.reshape(batch.n, -1)
+
     def _padded(self, buffer: deque[float]) -> np.ndarray:
         window = self.config.window
         data = np.zeros(window)
@@ -80,6 +107,7 @@ class Imu(Sensor):
         self._accel_long.clear()
         self._accel_lat.clear()
         self._yaw_rate.clear()
+        self._batch_window = None
         self.noise.reset()
 
     @property

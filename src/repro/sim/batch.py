@@ -137,6 +137,12 @@ class BatchWorld:
         self.collision_other = np.full(self.n, -1, dtype=int)
         self.collision_step = np.zeros(self.n, dtype=int)
         self.collision_time = np.zeros(self.n)
+        #: The ego's inertial samples of the last tick, one column per
+        #: physics sub-step (``[N, substeps]`` each; ``[N, 0]`` before the
+        #: first tick): the batched ``Vehicle.imu_trace``. Frozen rows
+        #: keep their last samples.
+        self._imu = np.zeros((3, self.n, 0))
+        self.imu_accel_long, self.imu_accel_lat, self.imu_yaw_rate = self._imu
 
         cfg = config.vehicle
         half_l, half_w = cfg.length / 2.0, cfg.width / 2.0
@@ -206,7 +212,17 @@ class BatchWorld:
             x, y = self.x.copy(), self.y.copy()
             yaw, speed = self.yaw.copy(), self.speed.copy()
             sub_dt = cfg.dt / cfg.substeps
-            for _ in range(cfg.substeps):
+            # The actuation holds over the sub-steps, so does the wheel
+            # tangent. The ego's comes from libm as in Vehicle._integrate:
+            # numpy's tan differs in the last bit for some angles, and
+            # the ego's IMU trace carries the yaw rate it sets.
+            tan_wheel = np.tan(steer_act * vcfg.max_steer_angle)
+            tan_wheel[:, 0] = [
+                math.tan(angle)
+                for angle in (steer_act[:, 0] * vcfg.max_steer_angle).tolist()
+            ]
+            imu = np.empty((3, self.n, cfg.substeps))
+            for k in range(cfg.substeps):
                 accel = np.where(
                     thrust_act >= 0.0,
                     thrust_act * vcfg.max_accel,
@@ -216,8 +232,7 @@ class BatchWorld:
                 new_speed = np.clip(
                     speed + accel * sub_dt, 0.0, vcfg.max_speed
                 )
-                wheel = steer_act * vcfg.max_steer_angle
-                yaw_rate = -new_speed / vcfg.wheelbase * np.tan(wheel)
+                yaw_rate = -new_speed / vcfg.wheelbase * tan_wheel
                 moving = new_speed > 1e-6
                 limit = vcfg.max_lateral_accel / np.where(
                     moving, new_speed, 1.0
@@ -230,6 +245,10 @@ class BatchWorld:
                 x = x + mid_speed * np.cos(mid_yaw) * sub_dt
                 y = y + mid_speed * np.sin(mid_yaw) * sub_dt
                 yaw = _normalize_angles(yaw + yaw_rate * sub_dt)
+                # The ego's IMU sample, as Vehicle._integrate records it.
+                imu[0, :, k] = (new_speed[:, 0] - speed[:, 0]) / sub_dt
+                imu[1, :, k] = yaw_rate[:, 0] * new_speed[:, 0]
+                imu[2, :, k] = yaw_rate[:, 0]
                 speed = new_speed
 
             # Frozen rows keep their old state verbatim.
@@ -239,6 +258,15 @@ class BatchWorld:
             self.speed[active] = speed[active]
             self.steer_act[active] = steer_act[active]
             self.thrust_act[active] = thrust_act[active]
+            if self._imu.shape == imu.shape:
+                np.copyto(self._imu, imu, where=active[None, :, None])
+            else:  # first tick: every row is live
+                self._imu = imu
+                (
+                    self.imu_accel_long,
+                    self.imu_accel_lat,
+                    self.imu_yaw_rate,
+                ) = imu
             self.step_count[active] += 1
             self.time[active] += cfg.dt
 

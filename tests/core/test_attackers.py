@@ -14,7 +14,8 @@ from repro.core import (
     OracleAttacker,
 )
 from repro.rl.policy import SquashedGaussianPolicy
-from repro.sim import Control, CollisionKind, make_world
+from repro.sensors import GaussianNoise, ImuConfig
+from repro.sim import Control, CollisionKind, make_batch_world, make_world
 
 
 class TestNullAttacker:
@@ -164,3 +165,31 @@ class TestAttackObservations:
         raw = sensor.observe(quiet_world)
         small = scaled.observe(quiet_world)
         np.testing.assert_allclose(small * 10.0, raw, atol=1e-12)
+
+    @pytest.mark.parametrize("include_lateral", [False, True])
+    def test_imu_observe_batch_matches_observe_bitwise(self, include_lateral):
+        """Per row, the batched window is the scalar one: zero-padded at
+        the start, then rolling over (window 8 < 2 samples x 12 ticks)."""
+        seeds = [0, 5, 9]
+        config = ImuConfig(window=8, include_lateral=include_lateral)
+        batch = make_batch_world(seeds=seeds)
+        worlds = [make_world(rng=np.random.default_rng(s)) for s in seeds]
+        batched = ImuAttackObservation(imu_config=config)
+        scalars = [ImuAttackObservation(imu_config=config) for _ in seeds]
+        controls = np.random.default_rng(3).uniform(-0.5, 0.5, (12, 3, 2))
+        for tick in range(12):
+            obs = batched.observe_batch(batch)
+            assert obs.shape == (3, batched.observation_dim)
+            for i, world in enumerate(worlds):
+                assert np.array_equal(obs[i], scalars[i].observe(world))
+            if tick == 0:
+                assert not obs.any()
+            steer, thrust = controls[tick, :, 0], controls[tick, :, 1]
+            for i, world in enumerate(worlds):
+                world.tick(Control(steer=steer[i], thrust=thrust[i]))
+            batch.tick(steer, thrust)
+
+    def test_noisy_imu_has_no_batched_path(self):
+        sensor = ImuAttackObservation(noise=GaussianNoise(0.1))
+        with pytest.raises(NotImplementedError, match="GaussianNoise"):
+            sensor.observe_batch(make_batch_world(seeds=[0]))

@@ -9,12 +9,14 @@ the replay tolerances of :mod:`repro.obsv.replay`, whose diff machinery
 does the tick-by-tick comparison here.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.batch import as_batch_actor
+from repro.agents.batch import BatchPolicyActor, as_batch_actor
 from repro.agents.e2e.agent import EndToEndAgent
+from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.modular import ModularAgent
 from repro.core import OracleAttacker
 from repro.core.attackers import LearnedAttacker, as_batch_attacker
@@ -23,6 +25,7 @@ from repro.core.observations import (
     CameraAttackObservation,
     ImuAttackObservation,
 )
+from repro.defense.detector import DetectorSwitchedAgent
 from repro.defense.pnn_defense import SimplexSwitchedAgent
 from repro.eval import batch as batch_mod
 from repro.eval import episodes as episodes_mod
@@ -33,6 +36,7 @@ from repro.experiments import registry
 from repro.obsv.replay import DEFAULT_TOLERANCES, diff_ticks
 from repro.rl.pnn import ProgressivePolicy
 from repro.rl.policy import SquashedGaussianPolicy
+from repro.sensors import GaussianNoise, ImuConfig
 from repro.sim import make_world
 from repro.sim.batch import BatchWorld, make_batch_world
 from repro.sim.presets import PRESETS
@@ -51,8 +55,45 @@ needs_artifacts = pytest.mark.skipif(
 )
 
 
+needs_imu_artifacts = pytest.mark.skipif(
+    not (
+        registry.has_artifact(registry.E2E_DRIVER)
+        and registry.has_artifact(registry.IMU_ATTACKER)
+    ),
+    reason="shipped artifacts missing; run examples/train_all.py",
+)
+
+needs_pnn_artifacts = pytest.mark.skipif(
+    not (
+        registry.has_artifact(registry.E2E_DRIVER)
+        and registry.has_artifact(registry.PNN_COLUMN)
+        and registry.has_artifact(registry.CAMERA_ATTACKER_E2E)
+    ),
+    reason="shipped artifacts missing; run examples/train_all.py",
+)
+
+
 def modular_victim(world):
     return ModularAgent(world.road)
+
+
+def tiny_policy(obs_dim, action_dim, seed):
+    """A small random policy with actions of order one (the mean head's
+    initial scale of 1e-2 would leave it all but silent)."""
+    policy = SquashedGaussianPolicy(
+        obs_dim, action_dim, (16,), rng=np.random.default_rng(seed)
+    )
+    policy.mean_head.weight.data *= 100.0
+    return policy
+
+
+def imu_attacker(policy, budget, include_lateral=False):
+    return LearnedAttacker(
+        policy,
+        ImuAttackObservation(ImuConfig(include_lateral=include_lateral)),
+        channel=InjectionChannel(InjectionChannelConfig(budget=budget)),
+        name="imu",
+    )
 
 
 def _ticks_by_episode(writer: TraceWriter) -> dict:
@@ -121,6 +162,66 @@ class TestEndToEndEquivalence:
             seeds=SEEDS[:2],
         )
         assert any(r.collision is not None for r in scalar)
+
+
+class TestImuEquivalence:
+    """The IMU attacker's lockstep twin against per-seed scalar runs."""
+
+    @needs_imu_artifacts
+    @pytest.mark.parametrize("budget", [0.25, 1.0])
+    @pytest.mark.parametrize("victim", ["e2e", "modular"])
+    def test_shipped_attacker(self, victim, budget):
+        victim_factory = (
+            registry.e2e_victim if victim == "e2e" else modular_victim
+        )
+        scalar, _ = assert_equivalent(
+            victim_factory, lambda: registry.imu_attacker(budget)
+        )
+        assert any(r.mean_effort > 0.0 for r in scalar)
+
+    @pytest.mark.parametrize("budget", [0.25, 1.0])
+    @pytest.mark.parametrize("victim", ["e2e", "modular"])
+    def test_lateral_channel(self, victim, budget):
+        if victim == "e2e":
+            if not registry.has_artifact(registry.E2E_DRIVER):
+                pytest.skip("shipped e2e driver missing")
+            victim_factory = registry.e2e_victim
+        else:
+            victim_factory = modular_victim
+        policy = tiny_policy(192, 1, seed=1)
+        scalar, _ = assert_equivalent(
+            victim_factory,
+            lambda: imu_attacker(policy, budget, include_lateral=True),
+            seeds=SEEDS[:2],
+        )
+        assert any(r.mean_effort > 0.0 for r in scalar)
+
+
+@needs_pnn_artifacts
+class TestSimplexEquivalence:
+    """The Simplex/PNN victim's twin drives with the switcher's route."""
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.4])
+    @pytest.mark.parametrize("budget", [0.0, 0.1, 0.5, 1.0])
+    def test_both_routes(self, sigma, budget):
+        def victim_factory(world):
+            return registry.pnn_victim(world, sigma, budget)
+
+        pnn = victim_factory(make_world())
+        assert (pnn.active is pnn.hardened) == (budget > sigma)
+        def attacker_factory():
+            return registry.camera_attacker(budget) if budget else None
+
+        assert_equivalent(victim_factory, attacker_factory, seeds=SEEDS[:2])
+
+    def test_twin_renders_only_the_active_encoder(self):
+        batch = make_batch_world(seeds=[0, 1])
+        pnn = registry.pnn_victim(make_world(), 0.2, 1.0)
+        actor = as_batch_actor(pnn, batch)
+        assert type(actor) is BatchPolicyActor
+        assert actor.policy is pnn.hardened.policy
+        pnn.inform_budget(0.2)
+        assert as_batch_actor(pnn, batch).policy is pnn.original.policy
 
 
 def assert_same_results(scalar, batched):
@@ -257,31 +358,73 @@ class TestSupportsBatch:
             for attacker in (None, OracleAttacker(budget=0.5), camera):
                 assert supports_batch(victim, attacker)
 
-    def test_imu_pnn_and_stochastic_configs_stay_scalar(self):
+    def test_imu_and_simplex_twins_are_batchable(self):
         world = make_world()
-        modular = ModularAgent(world.road)
         attacker_policy = SquashedGaussianPolicy(4, 1, (8,))
-        imu = LearnedAttacker(attacker_policy, ImuAttackObservation())
-        stochastic = LearnedAttacker(
-            attacker_policy, CameraAttackObservation(), deterministic=False
-        )
         driver = SquashedGaussianPolicy(4, 2, (8,))
         pnn = SimplexSwitchedAgent(
             EndToEndAgent(driver), ProgressivePolicy(driver)
         )
-        assert not supports_batch(modular, imu)
-        assert not supports_batch(modular, stochastic)
-        assert not supports_batch(pnn, None)
-        assert not supports_batch(EndToEndAgent(driver, deterministic=False),
-                                  None)
-        noisy = LearnedAttacker(
+        victims = (ModularAgent(world.road), EndToEndAgent(driver), pnn)
+        for lateral in (False, True):
+            imu = LearnedAttacker(
+                attacker_policy,
+                ImuAttackObservation(ImuConfig(include_lateral=lateral)),
+            )
+            for victim in victims:
+                assert supports_batch(victim, imu)
+        for budget in (0.0, 0.5):  # original and hardened routes
+            pnn.inform_budget(budget)
+            assert supports_batch(pnn, None)
+        assert supports_batch(EndToEndAgent(ProgressivePolicy(driver)), None)
+
+    def test_noisy_detector_and_subclasses_stay_scalar(self):
+        world = make_world()
+        modular = ModularAgent(world.road)
+        attacker_policy = SquashedGaussianPolicy(4, 1, (8,))
+        noisy_imu = LearnedAttacker(
+            attacker_policy, ImuAttackObservation(noise=GaussianNoise(0.1))
+        )
+        stochastic = LearnedAttacker(
+            attacker_policy, CameraAttackObservation(), deterministic=False
+        )
+        noisy_channel = LearnedAttacker(
             attacker_policy,
             CameraAttackObservation(),
             channel=InjectionChannel(
                 InjectionChannelConfig(budget=1.0, noise_std=0.1)
             ),
         )
-        assert not supports_batch(modular, noisy)
+        for attacker in (noisy_imu, stochastic, noisy_channel):
+            assert not supports_batch(modular, attacker)
+
+        driver = SquashedGaussianPolicy(4, 2, (8,))
+        assert not supports_batch(
+            EndToEndAgent(driver, deterministic=False), None
+        )
+        detector = DetectorSwitchedAgent(
+            EndToEndAgent(driver), ProgressivePolicy(driver)
+        )
+        assert not supports_batch(detector, None)
+
+        class TunedSimplex(SimplexSwitchedAgent):
+            pass
+
+        class TunedProgressive(ProgressivePolicy):
+            pass
+
+        assert not supports_batch(
+            TunedSimplex(EndToEndAgent(driver), ProgressivePolicy(driver)),
+            None,
+        )
+        hardened = SimplexSwitchedAgent(
+            EndToEndAgent(driver), TunedProgressive(driver)
+        )
+        hardened.inform_budget(1.0)
+        assert not supports_batch(hardened, None)
+        assert not supports_batch(
+            EndToEndAgent(TunedProgressive(driver)), None
+        )
 
     def test_subclasses_are_never_batched(self):
         world = make_world()
@@ -295,11 +438,12 @@ class TestSupportsBatch:
     def test_twin_factories_raise_the_predicate_reason(self):
         world = make_world()
         batch = make_batch_world(seeds=[0])
-        imu = LearnedAttacker(
-            SquashedGaussianPolicy(4, 1, (8,)), ImuAttackObservation()
+        noisy_imu = LearnedAttacker(
+            SquashedGaussianPolicy(4, 1, (8,)),
+            ImuAttackObservation(noise=GaussianNoise(0.1)),
         )
-        with pytest.raises(TypeError, match="CameraAttackObservation"):
-            as_batch_attacker(imu, batch)
+        with pytest.raises(TypeError, match="GaussianNoise"):
+            as_batch_attacker(noisy_imu, batch)
         with pytest.raises(TypeError, match="_OddVictim"):
             as_batch_actor(_OddVictim(world), batch)
 
@@ -307,29 +451,76 @@ class TestSupportsBatch:
 window = st.tuples(st.integers(0, 5_000), st.integers(2, 5))
 
 
+def tiny_victim_factory(kind, budget, sigma):
+    """A victim factory for ``kind``; learned victims share tiny random
+    weights across episodes, as the shipped ones share their checkpoint."""
+    if kind == "modular":
+        return modular_victim
+    driver = tiny_policy(DrivingObservation().observation_dim, 2, seed=2)
+    if kind == "e2e":
+        return lambda world: EndToEndAgent(driver)
+    hardened = ProgressivePolicy(driver, rng=np.random.default_rng(3))
+    hardened.mean_head.weight.data *= 100.0
+
+    def simplex(world):
+        agent = SimplexSwitchedAgent(
+            EndToEndAgent(driver), hardened, sigma=sigma
+        )
+        agent.inform_budget(budget)
+        return agent
+
+    return simplex
+
+
+def tiny_attacker_factory(kind, budget):
+    if kind == "none" or budget == 0.0:
+        return lambda: None
+    if kind == "oracle":
+        return lambda: OracleAttacker(budget=budget)
+    if kind == "camera":
+        sensor = CameraAttackObservation
+        policy = tiny_policy(sensor().observation_dim, 1, seed=4)
+    else:
+        lateral = kind == "imu-lateral"
+        sensor = lambda: ImuAttackObservation(
+            ImuConfig(include_lateral=lateral)
+        )
+        policy = tiny_policy(sensor().observation_dim, 1, seed=5)
+    return lambda: LearnedAttacker(
+        policy,
+        sensor(),
+        channel=InjectionChannel(InjectionChannelConfig(budget=budget)),
+    )
+
+
 class TestRunEpisodesProperty:
     @given(
         window,
         st.sampled_from(sorted(PRESETS)),
         st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.sampled_from(["modular", "e2e", "simplex"]),
+        st.sampled_from(["none", "oracle", "camera", "imu", "imu-lateral"]),
+        st.sampled_from([0.2, 0.4]),
     )
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=16, deadline=None)
     def test_run_episodes_matches_per_seed_run_episode(
-        self, seeds, preset, budget
+        self, seeds, preset, budget, victim, attacker, sigma
     ):
         start, count = seeds
         scenario = PRESETS[preset]()
-
-        def attacker_factory():
-            return OracleAttacker(budget=budget) if budget else None
+        victim_factory = tiny_victim_factory(victim, budget, sigma)
+        attacker_factory = tiny_attacker_factory(attacker, budget)
+        assert supports_batch(
+            victim_factory(make_world(scenario)), attacker_factory()
+        )
 
         batched = run_episodes(
-            modular_victim, attacker_factory, n_episodes=count, seed=start,
+            victim_factory, attacker_factory, n_episodes=count, seed=start,
             scenario=scenario,
         )
         scalar = [
             run_episode(
-                modular_victim, attacker=attacker_factory(), seed=seed,
+                victim_factory, attacker=attacker_factory(), seed=seed,
                 scenario=scenario,
             )
             for seed in range(start, start + count)

@@ -6,6 +6,7 @@ import pytest
 from repro.rl.nn import autograd
 from repro.rl.nn.flops import FlopCounter
 from repro.rl.nn.layers import Mlp
+from repro.rl.pnn import ProgressivePolicy
 from repro.rl.policy import SquashedGaussianPolicy
 
 pytestmark = pytest.mark.batch
@@ -49,6 +50,25 @@ class TestPolicyActBatch:
             scalar = policy.act(obs[i], deterministic=True)
             np.testing.assert_allclose(batched[i], scalar, atol=1e-12)
 
+    def test_exact_rows_match_scalar_act_bitwise(self):
+        """Row by row, the batch gets the single-row bits of ``act``."""
+        policy = SquashedGaussianPolicy(30, 2, hidden=(64, 64))
+        obs = np.random.default_rng(4).standard_normal((7, 30))
+        scalar = np.stack([policy.act(row, deterministic=True) for row in obs])
+        for plan in (None, policy.inference_plan(7)):
+            batched = policy.act_batch(
+                obs, deterministic=True, plan=plan, exact_rows=True
+            )
+            assert np.array_equal(batched, scalar)
+        sampled = policy.act_batch(
+            obs,
+            rngs=[np.random.default_rng(i) for i in range(7)],
+            exact_rows=True,
+        )
+        for i in range(7):
+            want = policy.act(obs[i], rng=np.random.default_rng(i))
+            assert np.array_equal(sampled[i], want)
+
     def test_sampling_consumes_per_row_streams(self):
         """Row i draws exactly what a scalar episode with rng i would."""
         policy = self._policy()
@@ -77,6 +97,30 @@ class TestPolicyActBatch:
         mean_p, log_std_p = policy.forward_np(obs)
         assert np.array_equal(mean_f, mean_p)
         assert np.array_equal(log_std_f, log_std_p)
+
+
+class TestProgressiveActBatch:
+    def _policy(self):
+        base = SquashedGaussianPolicy(30, 2, hidden=(16, 16))
+        return ProgressivePolicy(base, rng=np.random.default_rng(5))
+
+    def test_matches_scalar_act_row_by_row(self):
+        policy = self._policy()
+        obs = np.random.default_rng(6).standard_normal((5, 30))
+        scalar = np.stack([policy.act(row, deterministic=True) for row in obs])
+        np.testing.assert_allclose(
+            policy.act_batch(obs, deterministic=True), scalar, atol=1e-12
+        )
+        exact = policy.act_batch(obs, deterministic=True, exact_rows=True)
+        assert np.array_equal(exact, scalar)
+
+    def test_deterministic_matrices_only(self):
+        policy = self._policy()
+        with pytest.raises(NotImplementedError):
+            policy.act_batch(np.zeros((2, 30)), deterministic=False)
+        with pytest.raises(ValueError):
+            policy.act_batch(np.zeros(30))
+        assert policy.inference_plan(4) is None
 
 
 class TestFlopAccounting:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.sim import ScenarioConfig, make_batch_world
 from repro.sim.batch import KIND_NONE, BatchWorld
+from repro.sim.presets import PRESETS
 from repro.sim.scenario import make_world
 from repro.sim.vehicle import Control
 
@@ -106,6 +107,65 @@ class TestTickParity:
             # A collision is reported exactly once, on its tick.
             assert not np.any(new & saw_collision)
             saw_collision |= new
+
+
+class TestImuTrace:
+    """``BatchWorld.tick`` records the ego IMU samples of ``Vehicle``."""
+
+    CHANNELS = ("accel_long", "accel_lat", "yaw_rate")
+
+    def _rollout(self, cfg, seeds, ticks=200):
+        """Lockstep and scalar runs of the same scripted controls; yields
+        ``(batch, worlds, live)`` after every tick."""
+        batch = make_batch_world(cfg, seeds=seeds)
+        worlds = [
+            make_world(cfg, rng=np.random.default_rng(s)) for s in seeds
+        ]
+        scripts = [_scripted_controls(s, ticks) for s in seeds]
+        for t in range(ticks):
+            if batch.all_done:
+                return
+            live = ~batch.done
+            controls = np.array([script[t] for script in scripts])
+            for i, world in enumerate(worlds):
+                if not world.done:
+                    steer, thrust, delta = controls[i]
+                    world.tick(Control(steer, thrust), steer_delta=delta)
+            batch.tick(
+                controls[:, 0], controls[:, 1], steer_delta=controls[:, 2]
+            )
+            yield batch, worlds, live
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_samples_match_vehicle_trace_bitwise(self, preset):
+        cfg = PRESETS[preset]()
+        ticks = 0
+        for batch, worlds, live in self._rollout(cfg, SEEDS):
+            ticks += 1
+            for i in np.flatnonzero(live):
+                trace = worlds[i].ego.imu_trace
+                assert len(trace) == cfg.substeps
+                for channel in self.CHANNELS:
+                    recorded = getattr(batch, f"imu_{channel}")[i]
+                    want = [getattr(sample, channel) for sample in trace]
+                    assert recorded.tolist() == want, (channel, i)
+        assert ticks > 1
+
+    def test_starts_empty_and_frozen_rows_keep_last_samples(self):
+        cfg = ScenarioConfig()
+        batch = make_batch_world(cfg, seeds=SEEDS)
+        for channel in self.CHANNELS:
+            assert getattr(batch, f"imu_{channel}").shape == (len(SEEDS), 0)
+        last = {}
+        for batch, _, live in self._rollout(cfg, SEEDS):
+            for channel in self.CHANNELS:
+                samples = getattr(batch, f"imu_{channel}")
+                assert samples.shape == (len(SEEDS), cfg.substeps)
+                for i in np.flatnonzero(~live):
+                    assert samples[i].tolist() == last[channel, i]
+                for i in np.flatnonzero(live):
+                    last[channel, i] = samples[i].tolist()
+        assert batch.done.any()
 
 
 class TestQueries:
