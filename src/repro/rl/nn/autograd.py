@@ -100,7 +100,12 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        Gradients flow only into tensors that required one when the op
+        that consumed them was recorded: constants, and nodes built from
+        constants alone, get no ``.grad``.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar")
@@ -118,7 +123,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad, dtype=np.float64))
         for node in reversed(topo):
@@ -142,10 +147,12 @@ class Tensor:
         if FLOP_HOOK is not None:
             FLOP_HOOK.elementwise("add_fwd", out_data.size)
 
+        self_needs, other_needs = self.requires_grad, other.requires_grad
+
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad or self._parents:
+            if self_needs:
                 self._accumulate(grad)
-            if other.requires_grad or other._parents:
+            if other_needs:
                 other._accumulate(grad)
 
         return Tensor(
@@ -178,10 +185,12 @@ class Tensor:
         other = self._lift(other)
         out_data = self.data * other.data
 
+        self_needs, other_needs = self.requires_grad, other.requires_grad
+
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad or self._parents:
+            if self_needs:
                 self._accumulate(grad * other.data)
-            if other.requires_grad or other._parents:
+            if other_needs:
                 other._accumulate(grad * self.data)
 
         return Tensor(
@@ -221,15 +230,17 @@ class Tensor:
         if FLOP_HOOK is not None:
             FLOP_HOOK.matmul(*_matmul_dims(self.data.shape, other.data.shape))
 
+        self_needs, other_needs = self.requires_grad, other.requires_grad
+
         def backward(grad: np.ndarray) -> None:
             if FLOP_HOOK is not None:
                 FLOP_HOOK.matmul(
                     *_matmul_dims(self.data.shape, other.data.shape),
                     backward=True,
                 )
-            if self.requires_grad or self._parents:
+            if self_needs:
                 self._accumulate(grad @ other.data.T)
-            if other.requires_grad or other._parents:
+            if other_needs:
                 other._accumulate(self.data.T @ grad)
 
         return Tensor(
@@ -379,19 +390,20 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise minimum; the gradient routes to the smaller input
     (split evenly on exact ties)."""
     out_data = np.minimum(a.data, b.data)
+    a_needs, b_needs = a.requires_grad, b.requires_grad
 
     def backward(grad: np.ndarray) -> None:
         a_smaller = a.data < b.data
         b_smaller = b.data < a.data
         ties = a.data == b.data
-        if a.requires_grad or a._parents:
+        if a_needs:
             a._accumulate(grad * (a_smaller + 0.5 * ties))
-        if b.requires_grad or b._parents:
+        if b_needs:
             b._accumulate(grad * (b_smaller + 0.5 * ties))
 
     return Tensor(
         out_data,
-        requires_grad=a.requires_grad or b.requires_grad,
+        requires_grad=a_needs or b_needs,
         _parents=(a, b),
         _backward=backward,
     )
@@ -403,17 +415,20 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    needs = [t.requires_grad for t in tensors]
 
     def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        for tensor, need, start, stop in zip(
+            tensors, needs, offsets[:-1], offsets[1:]
+        ):
             slicer = [slice(None)] * grad.ndim
             slicer[axis] = slice(start, stop)
-            if tensor.requires_grad or tensor._parents:
+            if need:
                 tensor._accumulate(grad[tuple(slicer)])
 
     return Tensor(
         out_data,
-        requires_grad=any(t.requires_grad for t in tensors),
+        requires_grad=any(needs),
         _parents=tuple(tensors),
         _backward=backward,
     )

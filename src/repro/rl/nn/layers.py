@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +65,19 @@ class Module:
 
     def trainable_parameters(self) -> list[Tensor]:
         return [p for p in self.parameters() if p.requires_grad]
+
+    @contextmanager
+    def frozen(self) -> Iterator[None]:
+        """Graphs recorded inside take no gradient into this module's
+        parameters (a later ``backward`` still flows through them)."""
+        params = self.trainable_parameters()
+        for param in params:
+            param.requires_grad = False
+        try:
+            yield
+        finally:
+            for param in params:
+                param.requires_grad = True
 
 
 def _collect(value) -> list[Tensor]:

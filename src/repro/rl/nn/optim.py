@@ -84,10 +84,10 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
-    def step(self) -> None:
+    def step(self) -> float:
+        """One Adam step; returns the global gradient norm before clipping."""
         self._t += 1
-        if self.max_grad_norm is not None:
-            self._clip_grads()
+        norm = self._clip_grads()
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t
         for param, m, v in zip(self.params, self._m, self._v):
@@ -101,6 +101,7 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return norm
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Moment estimates and step count, keyed by parameter index."""
@@ -114,14 +115,21 @@ class Adam(Optimizer):
         _load_slots("Adam", self._v, state, "v")
         self._t = int(state["t"])
 
-    def _clip_grads(self) -> None:
+    def _clip_grads(self) -> float:
+        """Scale the gradients down to ``max_grad_norm`` (when set) and
+        return their global L2 norm from before the scaling."""
         total = 0.0
         for param in self.params:
             if param.grad is not None:
                 total += float(np.sum(param.grad * param.grad))
         norm = np.sqrt(total)
-        if norm > self.max_grad_norm and norm > 0.0:
+        if (
+            self.max_grad_norm is not None
+            and norm > self.max_grad_norm
+            and norm > 0.0
+        ):
             scale = self.max_grad_norm / norm
             for param in self.params:
                 if param.grad is not None:
                     param.grad *= scale
+        return float(norm)

@@ -185,15 +185,6 @@ class Sac:
             "buffer_capacity": self.replay.capacity,
         }
 
-    @staticmethod
-    def _grad_norm(params) -> float:
-        """Global L2 norm over a parameter list's current gradients."""
-        total = 0.0
-        for param in params:
-            if param.grad is not None:
-                total += float(np.sum(param.grad * param.grad))
-        return float(np.sqrt(total))
-
     def _update(self) -> dict[str, float]:
         cfg = self.config
         batch = self.replay.sample(cfg.batch_size, self.rng)
@@ -228,26 +219,24 @@ class Sac:
         plan = faults.active_plan()
         if plan is not None:
             plan.on_gradients("critic", self.critic_opt.params, self.total_updates)
-        critic_grad_norm = self._grad_norm(self.critic_opt.params)
-        self.critic_opt.step()
+        critic_grad_norm = self.critic_opt.step()
 
-        # Actor update (critic gradients are discarded via zero_grad).
+        # Actor update through frozen critics: the backward pass reaches
+        # the actions but computes no critic weight gradients.
         actor_loss_value = 0.0
         actor_grad_norm = 0.0
         log_prob = None
         if self.total_updates >= cfg.actor_delay:
             noise = self.rng.standard_normal((cfg.batch_size, self.action_dim))
             new_actions, log_prob = self.actor.rsample(obs_t, noise)
-            q_new = minimum(
-                self.q1(obs_t, new_actions), self.q2(obs_t, new_actions)
-            )
+            with self.q1.frozen(), self.q2.frozen():
+                q_new = minimum(
+                    self.q1(obs_t, new_actions), self.q2(obs_t, new_actions)
+                )
             actor_loss = (log_prob * alpha - q_new).mean()
             self.actor_opt.zero_grad()
-            self.critic_opt.zero_grad()
             actor_loss.backward()
-            actor_grad_norm = self._grad_norm(self.actor_opt.params)
-            self.actor_opt.step()
-            self.critic_opt.zero_grad()
+            actor_grad_norm = self.actor_opt.step()
             actor_loss_value = float(actor_loss.data)
 
         # Temperature update.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,24 +43,34 @@ _MAX_CLASS = float(max(SemanticClass))
 _MARKING_HALF_WIDTH = 0.2
 
 
-def _classify_points(world: World, points: np.ndarray) -> np.ndarray:
-    """Semantic class per world point, shape ``(n,)`` of ``uint8``."""
-    road = world.road
-    _, d = road.to_frenet_batch(points)
-    classes = np.full(len(points), int(SemanticClass.OFF_ROAD), dtype=np.uint8)
+def _road_classes(road, d: np.ndarray) -> np.ndarray:
+    """Off-road / road / lane-marking class per lateral offset ``d``.
+
+    The distance to the nearest lane boundary is a running elementwise
+    minimum over the few boundaries: the same values as a ``min`` over a
+    trailing boundary axis, without numpy's slow reduction over a tiny
+    inner axis.
+    """
+    classes = np.full(d.shape, int(SemanticClass.OFF_ROAD), dtype=np.uint8)
     on_road = np.abs(d) <= road.half_width
     classes[on_road] = int(SemanticClass.ROAD)
-    boundaries = np.array(
-        [
-            -road.half_width + i * road.config.lane_width
-            for i in range(road.config.n_lanes + 1)
-        ]
+    boundaries = [
+        -road.half_width + i * road.config.lane_width
+        for i in range(road.config.n_lanes + 1)
+    ]
+    nearest = np.abs(d - boundaries[0])
+    for boundary in boundaries[1:]:
+        np.minimum(nearest, np.abs(d - boundary), out=nearest)
+    classes[on_road & (nearest <= _MARKING_HALF_WIDTH)] = int(
+        SemanticClass.LANE_MARKING
     )
-    near_marking = (
-        np.min(np.abs(d[:, None] - boundaries[None, :]), axis=1)
-        <= _MARKING_HALF_WIDTH
-    )
-    classes[on_road & near_marking] = int(SemanticClass.LANE_MARKING)
+    return classes
+
+
+def _classify_points(world: World, points: np.ndarray) -> np.ndarray:
+    """Semantic class per world point, shape ``(n,)`` of ``uint8``."""
+    _, d = world.road.to_frenet_batch(points)
+    classes = _road_classes(world.road, d)
     for npc in world.npcs:
         box = npc.vehicle.footprint()
         rel = points - np.asarray(box.center)
@@ -84,24 +95,9 @@ def _classify_points_batch(
     the same ascending index order as the scalar renderer (later NPCs
     overwrite earlier ones on overlap).
     """
-    road = batch.road
     n, p = points.shape[0], points.shape[1]
-    _, d, _ = road.frenet_batch(points.reshape(-1, 2))
-    d = d.reshape(n, p)
-    classes = np.full((n, p), int(SemanticClass.OFF_ROAD), dtype=np.uint8)
-    on_road = np.abs(d) <= road.half_width
-    classes[on_road] = int(SemanticClass.ROAD)
-    boundaries = np.array(
-        [
-            -road.half_width + i * road.config.lane_width
-            for i in range(road.config.n_lanes + 1)
-        ]
-    )
-    near_marking = (
-        np.min(np.abs(d[..., None] - boundaries), axis=-1)
-        <= _MARKING_HALF_WIDTH
-    )
-    classes[on_road & near_marking] = int(SemanticClass.LANE_MARKING)
+    _, d, _ = batch.road.frenet_batch(points.reshape(-1, 2))
+    classes = _road_classes(batch.road, d.reshape(n, p))
     half_l = batch.config.vehicle.length / 2.0
     half_w = batch.config.vehicle.width / 2.0
     for j in range(batch.m):
@@ -132,6 +128,31 @@ class BevCameraConfig:
         return self.rows * self.cols
 
 
+#: The last normalized frame returned by :meth:`BevCamera.observe` or
+#: :meth:`BevCamera.observe_batch`, as ``(key, frame)``. One entry shared
+#: by every camera: the victim and a camera attacker observe the same
+#: world state back to back, and only the first rasterizes it. Key and
+#: frame are read and replaced as one tuple, so a concurrent observer can
+#: miss but never receive the frame of another key.
+_last_frame: tuple[tuple, np.ndarray] | None = None
+
+
+def _shared_frame(key: tuple, rasterize) -> np.ndarray:
+    """The frame for ``key``: the stored one, or ``rasterize()`` kept.
+
+    ``key`` holds every input of the raster, so a match is exact; the
+    frame is read-only because every caller with that key receives it.
+    """
+    global _last_frame
+    entry = _last_frame
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    frame = rasterize()
+    frame.flags.writeable = False
+    _last_frame = (key, frame)
+    return frame
+
+
 class BevCamera(Sensor):
     """Ego-centric bird's-eye semantic grid.
 
@@ -139,6 +160,12 @@ class BevCamera(Sensor):
     (row 0 = farthest back), columns span ``[-half_width, half_width]``
     laterally (column 0 = rightmost). :meth:`observe` returns the grid
     flattened with class codes normalized to ``[0, 1]``.
+
+    A frame is a pure function of the camera type and config, the road
+    and the vehicle poses and sizes. :meth:`observe` and
+    :meth:`observe_batch` key it on exactly those, so a second camera
+    observing an unchanged world gets the frame the first one computed
+    (the same read-only array) instead of rasterizing again.
     """
 
     def __init__(self, config: BevCameraConfig | None = None) -> None:
@@ -160,8 +187,24 @@ class BevCamera(Sensor):
         return classes.reshape(self.config.rows, self.config.cols)
 
     def observe(self, world: World) -> np.ndarray:
-        return (
-            self.render(world).astype(np.float64).ravel() / _MAX_CLASS
+        ego = world.ego.state
+        values = [ego.x, ego.y, ego.yaw]
+        for npc in world.npcs:
+            state, size = npc.vehicle.state, npc.vehicle.config
+            values += (state.x, state.y, state.yaw, size.length, size.width)
+        # The road compares by identity (Road defines no ``__eq__``);
+        # ``None`` stands where a batch key holds its shape.
+        key = (
+            type(self),
+            self.config,
+            world.road,
+            None,
+            struct.pack(f"{len(values)}d", *values),
+        )
+        return _shared_frame(
+            key,
+            lambda: self.render(world).astype(np.float64).ravel()
+            / _MAX_CLASS,
         )
 
     @timed("camera.bev.render_batch")
@@ -191,11 +234,23 @@ class BevCamera(Sensor):
 
     def observe_batch(self, batch: BatchWorld) -> np.ndarray:
         """Flattened normalized grids for every episode, ``[N, cells]``."""
-        return (
-            self.render_batch(batch)
+        vehicle = batch.config.vehicle
+        key = (
+            type(self),
+            self.config,
+            batch.road,
+            batch.x.shape,
+            struct.pack("2d", vehicle.length, vehicle.width)
+            + batch.x.tobytes()
+            + batch.y.tobytes()
+            + batch.yaw.tobytes(),
+        )
+        return _shared_frame(
+            key,
+            lambda: self.render_batch(batch)
             .astype(np.float64)
             .reshape(batch.n, -1)
-            / _MAX_CLASS
+            / _MAX_CLASS,
         )
 
     def reset(self) -> None:

@@ -39,7 +39,7 @@ from repro.sim.collision import (
 )
 from repro.sim.config import EPSILON_MECH, ScenarioConfig
 from repro.sim.npc import LaneKeepGains
-from repro.sim.road import Road
+from repro.sim.road import Road, default_road
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
 
@@ -520,7 +520,7 @@ def make_batch_world(
     (the ``rng=None`` scalar behaviour).
     """
     config = config or ScenarioConfig()
-    road = road or Road.straight(config.road)
+    road = road or default_road(config.road)
     if seeds is None:
         if n is None:
             raise ValueError("provide seeds or n")

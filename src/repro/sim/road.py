@@ -331,7 +331,16 @@ class Road:
             )
 
 
+def default_road(config: RoadConfig | None = None) -> Road:
+    """The shared straight freeway for ``config``, built once per config.
+
+    ``make_world`` and ``make_batch_world`` spawn every episode on it;
+    nothing writes to a :class:`Road` after ``__init__``, so one instance
+    serves them all.
+    """
+    return _straight_road(config or RoadConfig())
+
+
 @lru_cache(maxsize=8)
-def default_road() -> Road:
-    """The shared straight freeway used by the paper's scenario."""
-    return Road.straight(RoadConfig())
+def _straight_road(config: RoadConfig) -> Road:
+    return Road.straight(config)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.agents.e2e.agent import EndToEndAgent
+from repro.agents.e2e.observation import DrivingObservation
 from repro.agents.modular import ModularAgent
 from repro.core import (
     AttackEnv,
@@ -22,6 +24,8 @@ from repro.core.training import (
 )
 from repro.rl.bc import BcConfig
 from repro.rl.policy import SquashedGaussianPolicy
+from repro.sensors import camera as camera_mod
+from repro.sensors.camera import BevCamera
 
 
 def modular_victim(world):
@@ -108,6 +112,38 @@ class TestAttackEnv:
         _, _, _, info = env.step(np.array([0.9]))
         assert info["teacher_delta"] is not None
         assert info["breakdown"].teacher <= 0.0
+
+
+def test_step_rasterizes_each_world_state_once(monkeypatch):
+    """The e2e victim's ``act`` reuses the frame the camera attacker
+    observed after the previous tick: one raster per step."""
+    monkeypatch.setattr(camera_mod, "_last_frame", None)
+    calls = []
+    render = BevCamera.render
+    monkeypatch.setattr(
+        BevCamera,
+        "render",
+        lambda self, world: calls.append(1) or render(self, world),
+    )
+    driver = SquashedGaussianPolicy(
+        DrivingObservation().observation_dim,
+        2,
+        (8,),
+        rng=np.random.default_rng(1),
+    )
+    env = AttackEnv(
+        lambda world: EndToEndAgent(driver),
+        CameraAttackObservation(),
+        rng=np.random.default_rng(0),
+    )
+    env.reset()
+    assert len(calls) == 1
+    steps = 0
+    done = False
+    while not done and steps < 10:
+        _, _, done, _ = env.step(np.array([0.3]))
+        steps += 1
+    assert len(calls) == 1 + steps
 
 
 def oracle_demonstrations(n_episodes):

@@ -37,6 +37,8 @@ from repro.obsv.replay import DEFAULT_TOLERANCES, diff_ticks
 from repro.rl.pnn import ProgressivePolicy
 from repro.rl.policy import SquashedGaussianPolicy
 from repro.sensors import GaussianNoise, ImuConfig
+from repro.sensors import camera as camera_mod
+from repro.sensors.camera import BevCamera
 from repro.sim import make_world
 from repro.sim.batch import BatchWorld, make_batch_world
 from repro.sim.presets import PRESETS
@@ -526,6 +528,36 @@ class TestRunEpisodesProperty:
             for seed in range(start, start + count)
         ]
         assert_same_results(scalar, batched)
+
+
+class TestSharedRaster:
+    """The victim and the camera attacker observe the same world state in
+    each lockstep iteration; only the first of them rasterizes it."""
+
+    @pytest.mark.parametrize("victim", ["e2e", "simplex"])
+    def test_one_raster_per_lockstep_iteration(self, victim, monkeypatch):
+        monkeypatch.setattr(camera_mod, "_last_frame", None)
+        counts = {"render": 0, "tick": 0}
+        render_batch, tick = BevCamera.render_batch, BatchWorld.tick
+
+        def counting_render(self, batch):
+            counts["render"] += 1
+            return render_batch(self, batch)
+
+        def counting_tick(self, *args, **kwargs):
+            counts["tick"] += 1
+            return tick(self, *args, **kwargs)
+
+        monkeypatch.setattr(BevCamera, "render_batch", counting_render)
+        monkeypatch.setattr(BatchWorld, "tick", counting_tick)
+        run_episode_batch(
+            tiny_victim_factory(victim, 1.0, 0.2),
+            tiny_attacker_factory("camera", 1.0)(),
+            seeds=SEEDS,
+            trace=TraceWriter(),
+        )
+        assert counts["tick"] > 0
+        assert counts["render"] == counts["tick"]
 
 
 class _OddVictim(ModularAgent):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rl.nn.autograd import Tensor, concat, gaussian_log_prob, minimum
+from repro.rl.nn.layers import Linear
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -170,6 +171,26 @@ class TestGraphMechanics:
         t = Tensor(np.array([2.0]), requires_grad=True)
         (t.detach() * 3.0).sum().backward()
         assert t.grad is None
+
+    def test_constant_nodes_get_no_grad(self):
+        w = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        a, b = Tensor(np.array([2.0, 3.0])), Tensor(np.array([0.5, 4.0]))
+        constant = concat([a * b + a, b @ np.eye(2)])
+        loss = (concat([w, w]) * constant).sum()
+        assert not constant.requires_grad
+        loss.backward()
+        assert constant.grad is None and a.grad is None and b.grad is None
+        np.testing.assert_allclose(w.grad, [3.0 + 0.5, 15.0 + 4.0])
+
+    def test_frozen_module_takes_no_gradient(self):
+        layer = Linear(2, 1, rng=np.random.default_rng(0))
+        x = Tensor(np.array([[1.0, -1.0]]), requires_grad=True)
+        with layer.frozen():
+            out = layer(x).sum()
+        assert all(p.requires_grad for p in layer.parameters())
+        out.backward()
+        assert layer.weight.grad is None and layer.bias.grad is None
+        np.testing.assert_allclose(x.grad, layer.weight.data.T)
 
     def test_backward_requires_scalar(self):
         t = Tensor(X.copy(), requires_grad=True)

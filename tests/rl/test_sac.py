@@ -1,5 +1,7 @@
 """SAC learner tests: mechanics, checkpointing, and a toy control task."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,33 @@ class TestSacMechanics:
         for _ in range(30):
             sac.update()
         assert sac.alpha != before
+
+    def test_actor_pass_leaves_no_critic_gradient(self, small_config):
+        """The critics' gradients after a full update are exactly those of
+        the critic loss: the actor's backward pass adds nothing to them."""
+
+        def learner(actor_delay):
+            config = dataclasses.replace(small_config, actor_delay=actor_delay)
+            sac = Sac(2, 1, config, rng=np.random.default_rng(0))
+            rng = np.random.default_rng(1)
+            for _ in range(100):
+                sac.observe(
+                    rng.normal(size=2), rng.uniform(-1, 1, 1), rng.normal(),
+                    rng.normal(size=2), False,
+                )
+            return sac
+
+        full, critic_only = learner(0), learner(10)
+        stats = full.update()
+        critic_only.update()
+        assert stats["actor_grad_norm"] > 0.0
+        for param, reference in zip(
+            full.critic_opt.params, critic_only.critic_opt.params
+        ):
+            assert param.requires_grad
+            np.testing.assert_array_equal(param.grad, reference.grad)
+            np.testing.assert_array_equal(param.data, reference.data)
+        assert all(p.grad is not None for p in full.actor_opt.params)
 
     def test_state_dict_roundtrip(self, small_config):
         sac = Sac(2, 1, small_config, rng=np.random.default_rng(0))

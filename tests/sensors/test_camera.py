@@ -1,8 +1,14 @@
 """Tests for the semantic segmentation cameras."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.agents.e2e.observation import POLICY_CAMERA
+from repro.sensors import camera as camera_mod
 from repro.sensors.camera import (
     BevCamera,
     BevCameraConfig,
@@ -10,7 +16,16 @@ from repro.sensors.camera import (
     PanoramaCameraConfig,
     SemanticClass,
 )
-from repro.sim import Control, make_world
+from repro.sim import (
+    Control,
+    Road,
+    RoadConfig,
+    ScenarioConfig,
+    VehicleConfig,
+    default_road,
+    make_batch_world,
+    make_world,
+)
 
 
 class TestBevCamera:
@@ -71,6 +86,39 @@ class TestBevCamera:
         grid = camera.render(quiet_world)
         assert np.any(grid == int(SemanticClass.LANE_MARKING))
 
+    @given(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_road_layer_matches_min_over_boundaries(self, offsets):
+        road = default_road()
+        boundaries = np.array(
+            [
+                -road.half_width + i * road.config.lane_width
+                for i in range(road.config.n_lanes + 1)
+            ]
+        )
+        # Exact marking edges and the barrier lines join the random draws.
+        d = np.concatenate(
+            [
+                offsets,
+                boundaries - 0.2,
+                boundaries + 0.2,
+                [road.half_width, -road.half_width],
+            ]
+        )
+        nearest = np.min(np.abs(d[:, None] - boundaries[None, :]), axis=1)
+        expected = np.where(
+            np.abs(d) <= road.half_width,
+            np.where(nearest <= 0.2, 2, 1),
+            0,
+        )
+        np.testing.assert_array_equal(
+            camera_mod._road_classes(road, d), expected
+        )
+        np.testing.assert_array_equal(
+            camera_mod._road_classes(road, d.reshape(1, -1)),
+            expected.reshape(1, -1),
+        )
+
     def test_reset_is_noop(self, quiet_world):
         camera = BevCamera()
         first = camera.observe(quiet_world)
@@ -112,6 +160,151 @@ class TestBevCameraBatch:
         obs = camera.observe_batch(batch)
         for i, world in enumerate(worlds):
             np.testing.assert_array_equal(obs[i], camera.observe(world))
+
+
+def uncached(camera, world) -> np.ndarray:
+    """The normalized frame straight from the raster, bypassing the memo."""
+    if hasattr(world, "n"):
+        grids = camera.render_batch(world).reshape(world.n, -1)
+    else:
+        grids = camera.render(world).ravel()
+    return grids.astype(np.float64) / float(max(SemanticClass))
+
+
+#: One edit of a world: (kind, vehicle, amount). Kinds: shift one pose
+#: coordinate of the vehicle, resize it (scalar worlds only) or tick the
+#: whole world.
+edits = st.lists(
+    st.tuples(
+        st.sampled_from(["x", "y", "yaw", "resize", "tick"]),
+        st.integers(0, 6),
+        st.floats(-4.0, 4.0).filter(lambda amount: amount != 0.0),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestSharedFrame:
+    """``observe``/``observe_batch`` return one memoized frame per world
+    state: exact against a fresh raster, shared, and read-only."""
+
+    @given(
+        seed=st.one_of(st.none(), st.integers(0, 2**16)),
+        sequence=edits,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_scalar_observe_equals_fresh_render(self, seed, sequence):
+        rng = None if seed is None else np.random.default_rng(seed)
+        world = make_world(rng=rng)
+        victim, attacker = BevCamera(POLICY_CAMERA), BevCamera(POLICY_CAMERA)
+        for kind, index, amount in sequence:
+            vehicles = [world.ego] + [npc.vehicle for npc in world.npcs]
+            vehicle = vehicles[index % len(vehicles)]
+            if kind == "tick":
+                if not world.done:
+                    world.tick(Control(steer=amount / 4.0, thrust=0.5))
+            elif kind == "resize":
+                vehicle.config = dataclasses.replace(
+                    vehicle.config,
+                    length=vehicle.config.length + abs(amount),
+                    width=vehicle.config.width + abs(amount) / 2.0,
+                )
+            else:
+                scale = 0.2 if kind == "yaw" else 1.0
+                setattr(
+                    vehicle.state,
+                    kind,
+                    getattr(vehicle.state, kind) + scale * amount,
+                )
+            expected = uncached(victim, world)
+            np.testing.assert_array_equal(victim.observe(world), expected)
+            np.testing.assert_array_equal(attacker.observe(world), expected)
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+        sequence=edits,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batch_observe_equals_fresh_render(self, seeds, sequence):
+        batch = make_batch_world(ScenarioConfig(), seeds=seeds)
+        victim, attacker = BevCamera(POLICY_CAMERA), BevCamera(POLICY_CAMERA)
+        for kind, index, amount in sequence:
+            row, col = index % batch.n, index % (1 + batch.m)
+            if kind == "tick":
+                if not batch.all_done:
+                    batch.tick(
+                        np.full(batch.n, amount / 4.0), np.full(batch.n, 0.5)
+                    )
+            elif kind != "resize":  # one vehicle size per batch
+                scale = 0.2 if kind == "yaw" else 1.0
+                getattr(batch, kind)[row, col] += scale * amount
+            expected = uncached(victim, batch)
+            np.testing.assert_array_equal(victim.observe_batch(batch), expected)
+            np.testing.assert_array_equal(
+                attacker.observe_batch(batch), expected
+            )
+
+    def test_equal_configs_share_one_read_only_frame(self, quiet_world):
+        victim = BevCamera(POLICY_CAMERA)
+        attacker = BevCamera(dataclasses.replace(POLICY_CAMERA))
+        frame = victim.observe(quiet_world)
+        assert attacker.observe(quiet_world) is frame
+        assert not frame.flags.writeable
+        with pytest.raises(ValueError):
+            frame[0] = 1.0
+
+        batch = make_batch_world(ScenarioConfig(), seeds=[1, 2])
+        frames = victim.observe_batch(batch)
+        assert attacker.observe_batch(batch) is frames
+        assert not frames.flags.writeable
+
+    def test_different_inputs_never_share(self, quiet_world):
+        policy = BevCamera(POLICY_CAMERA)
+        wider = BevCamera(dataclasses.replace(POLICY_CAMERA, half_width=9.0))
+        frame = policy.observe(quiet_world)
+        other = wider.observe(quiet_world)
+        assert other is not frame
+        assert not np.array_equal(other, frame)
+        assert policy.observe(quiet_world) is not frame
+
+        # An equal road that is another object is another input.
+        twin = make_world(rng=None, road=Road.straight(RoadConfig()))
+        first = policy.observe(quiet_world)
+        assert policy.observe(twin) is not first
+        np.testing.assert_array_equal(policy.observe(twin), first)
+
+    def test_batch_vehicle_size_is_part_of_the_key(self):
+        seeds = [4, 8]
+        camera = BevCamera(POLICY_CAMERA)
+        small = make_batch_world(ScenarioConfig(), seeds=seeds)
+        large = make_batch_world(
+            ScenarioConfig(vehicle=VehicleConfig(length=9.0, width=3.0)),
+            seeds=seeds,
+        )
+        np.testing.assert_array_equal(small.x, large.x)
+        frame = camera.observe_batch(small)
+        assert camera.observe_batch(large) is not frame
+        np.testing.assert_array_equal(
+            camera.observe_batch(large), uncached(camera, large)
+        )
+
+    def test_repeat_observe_renders_once(self, quiet_world, monkeypatch):
+        monkeypatch.setattr(camera_mod, "_last_frame", None)
+        calls = []
+        render = BevCamera.render
+        monkeypatch.setattr(
+            BevCamera,
+            "render",
+            lambda self, world: calls.append(1) or render(self, world),
+        )
+        camera = BevCamera(POLICY_CAMERA)
+        camera.observe(quiet_world)
+        camera.observe(quiet_world)
+        assert len(calls) == 1
+        quiet_world.npcs[0].vehicle.state.x += 0.5  # moved outside tick
+        camera.observe(quiet_world)
+        assert len(calls) == 2
 
 
 class TestPanoramaCamera:

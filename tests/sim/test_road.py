@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.config import RoadConfig
+from repro.sim.batch import make_batch_world
+from repro.sim.config import RoadConfig, ScenarioConfig
 from repro.sim.road import Road, default_road
+from repro.sim.scenario import make_world
 
 
 class TestConstruction:
@@ -28,7 +30,15 @@ class TestConstruction:
         assert ys.max() > 4.0 and ys.min() < -4.0
 
     def test_default_road_cached(self):
-        assert default_road() is default_road()
+        assert default_road() is default_road(RoadConfig())
+        short = RoadConfig(length=220.0)
+        assert default_road(short) is default_road(RoadConfig(length=220.0))
+        assert default_road(short) is not default_road()
+        assert default_road(short).length == pytest.approx(220.0)
+        # Every episode world is spawned on the one road of its config.
+        scenario = ScenarioConfig(road=short)
+        assert make_world(scenario).road is default_road(short)
+        assert make_batch_world(scenario, n=2).road is default_road(short)
 
 
 class TestLanes:
