@@ -14,7 +14,7 @@ import pytest
 
 from repro.agents.modular import ModularAgent
 from repro.core import OracleAttacker
-from repro.eval import run_episode
+from repro.eval import run_episodes
 from repro.experiments.common import Table, fmt
 from repro.sim import ScenarioConfig, VehicleConfig
 
@@ -29,15 +29,12 @@ def test_actuation_smoothing_ablation(benchmark):
             scenario = ScenarioConfig(
                 vehicle=VehicleConfig(steer_retain=alpha)
             )
-            results = [
-                run_episode(
-                    lambda world: ModularAgent(world.road),
-                    attacker=OracleAttacker(budget=0.8),
-                    seed=seed,
-                    scenario=scenario,
-                )
-                for seed in range(10)
-            ]
+            results = run_episodes(
+                lambda world: ModularAgent(world.road),
+                lambda: OracleAttacker(budget=0.8),
+                n_episodes=10,
+                scenario=scenario,
+            )
             rows.append(
                 (
                     alpha,

@@ -50,6 +50,12 @@ class BatchModularActor:
         self._lateral.reset()
         self._longitudinal.reset()
 
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the state of episodes ``rows`` (``BatchWorld.take``)."""
+        self.planner.take(rows)
+        self._lateral.take(rows)
+        self._longitudinal.take(rows)
+
     def act_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
         plan = self.planner.update(batch)
         ego_s, _, _ = batch.ego_frenet()
@@ -104,6 +110,11 @@ class BatchPolicyActor:
 
     def reset(self, batch) -> None:
         self.observation.reset()
+
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the state of episodes ``rows`` (``BatchWorld.take``);
+        the inference plan serves any batch up to its first size."""
+        self.observation.take(rows)
 
     def act_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
         obs = self.observation.observe_batch(batch)

@@ -46,6 +46,10 @@ class DrivingObservation:
     def reset(self) -> None:
         self._stack.reset()
 
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the batch frames of episodes ``rows``, in that order."""
+        self._stack.take(rows)
+
     def observe(self, world: World) -> np.ndarray:
         """The full policy observation for the current tick."""
         frames = self._stack.observe(world)

@@ -253,6 +253,11 @@ class BatchBehaviorPlanner:
         self._s1 = np.zeros(batch.n)
         self._d1 = np.zeros(batch.n)
 
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the plans of episodes ``rows`` (see ``BatchWorld.take``)."""
+        for name in ("_target_lane", "_changing", "_s0", "_d0", "_s1", "_d1"):
+            setattr(self, name, getattr(self, name)[rows])
+
     def _lane_at(self, d: np.ndarray) -> np.ndarray:
         """Vectorized ``Road.lane_at``: lane index, or -1 off-road."""
         road = self.road
@@ -281,12 +286,8 @@ class BatchBehaviorPlanner:
 
         # 2. Leader search in the current target lane (positions decide
         #    lane membership, matching the scalar planner).
-        npc_s = batch._npc_s()
-        pts = np.stack(
-            [batch.x[:, 1:].ravel(), batch.y[:, 1:].ravel()], axis=1
-        )
-        _, npc_d, _ = self.road.frenet_batch(pts)
-        npc_lane = self._lane_at(npc_d.reshape(n, batch.m))
+        npc_s, npc_d, _ = batch.npc_frenet()
+        npc_lane = self._lane_at(npc_d)
         npc_speed = batch.speed[:, 1:]
 
         ahead = (npc_lane == self._target_lane[:, None]) & (

@@ -110,6 +110,12 @@ class BatchPid:
         self._last_error[:] = 0.0
         self._has_last[:] = False
 
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the loops of episodes ``rows``, in that order."""
+        self._integral = self._integral[rows]
+        self._last_error = self._last_error[rows]
+        self._has_last = self._has_last[rows]
+
 
 #: Default gains tuned for the paper's aggressive freeway configuration.
 LATERAL_GAINS = PidGains(kp=1.9, ki=0.05, kd=0.25)

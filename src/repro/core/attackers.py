@@ -199,7 +199,8 @@ class LearnedAttacker:
 # Each scalar attacker has a lockstep counterpart exposing
 # ``deltas(batch) -> [N]`` (called once per tick, before ``batch.tick``).
 # Rows that are already done inject 0 and freeze their effort bookkeeping,
-# so per-episode statistics match a scalar run of the same seed.
+# so per-episode statistics match a scalar run of the same seed, and
+# ``take(rows)`` keeps only the state of the rows ``BatchWorld.take`` keeps.
 
 
 class BatchNullAttacker:
@@ -214,6 +215,9 @@ class BatchNullAttacker:
 
     def deltas(self, batch) -> np.ndarray:
         return np.zeros(self.n)
+
+    def take(self, rows: np.ndarray) -> None:
+        self.n = len(rows)
 
     @property
     def mean_effort(self) -> np.ndarray:
@@ -268,6 +272,10 @@ class BatchOracleAttacker:
     def deltas(self, batch) -> np.ndarray:
         return self.channel.inject(self.normalized_actions(batch), ~batch.done)
 
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the lanes of episodes ``rows`` (``BatchWorld.take``)."""
+        self.channel.take(rows)
+
 
 class BatchLearnedAttacker:
     """Batched deterministic rollout of a :class:`LearnedAttacker`.
@@ -321,6 +329,12 @@ class BatchLearnedAttacker:
 
     def deltas(self, batch) -> np.ndarray:
         return self.channel.inject(self.normalized_actions(batch), ~batch.done)
+
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the state of episodes ``rows`` (``BatchWorld.take``);
+        the inference plan serves any batch up to its first size."""
+        self.sensor.take(rows)
+        self.channel.take(rows)
 
 
 def unbatchable_attacker(attacker) -> str | None:

@@ -175,6 +175,16 @@ class BatchInjectionChannel:
         self.active_effort[hot] += magnitude[hot]
         return delta
 
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the lanes of episodes ``rows``, in that order."""
+        self.n = len(rows)
+        if self.rngs is not None:
+            self.rngs = [self.rngs[i] for i in rows]
+        self.total_effort = self.total_effort[rows]
+        self.steps = self.steps[rows]
+        self.active_steps = self.active_steps[rows]
+        self.active_effort = self.active_effort[rows]
+
     @property
     def mean_effort(self) -> np.ndarray:
         """Per-episode mean |delta| over active steps (0 where none)."""

@@ -44,6 +44,9 @@ class CameraAttackObservation(Sensor):
     def reset(self) -> None:
         self._stack.reset()
 
+    def take(self, rows: np.ndarray) -> None:
+        self._stack.take(rows)
+
     @property
     def observation_dim(self) -> int:
         return self._stack.observation_dim
@@ -81,6 +84,9 @@ class ImuAttackObservation(Sensor):
 
     def reset(self) -> None:
         self._imu.reset()
+
+    def take(self, rows: np.ndarray) -> None:
+        self._imu.take(rows)
 
     @property
     def observation_dim(self) -> int:

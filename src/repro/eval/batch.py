@@ -5,11 +5,14 @@ The vectorized twin of :func:`repro.eval.episodes.run_episode`. One
 victims and attackers run through their batched actors
 (:func:`repro.agents.batch.as_batch_actor`,
 :func:`repro.core.attackers.as_batch_attacker`); rewards, deviations and
-attack bookkeeping accumulate as masked array expressions. Finished
-episodes freeze in place until the slowest seed ends, so per-episode
-results match scalar runs of the same seeds (see :mod:`repro.sim.batch`
-for the determinism contract). :func:`supports_batch` decides which
-configurations have twins.
+attack bookkeeping accumulate as masked array expressions. A finished
+episode freezes in place, so per-episode results match scalar runs of
+the same seeds (see :mod:`repro.sim.batch` for the determinism
+contract). Once at most half of the batch is still running, the loop
+gathers the live rows into a smaller batch (``take`` on the world and
+on every twin), so its work follows the live episodes: a batch of N
+compacts at most log2 N times, and results are scattered back in seed
+order. :func:`supports_batch` decides which configurations have twins.
 
 Trace records carry the same fields and schema as the scalar runner —
 only the interleaving differs (ticks from concurrent episodes alternate,
@@ -129,6 +132,37 @@ def run_episode_batch(
     previous_gap = np.full(n, np.nan)
     lane_width = batch.road.config.lane_width
 
+    # Batch row k runs episode rows[k]; the accumulators above are
+    # indexed by episode.
+    rows = np.arange(n)
+    results: list[EpisodeResult | None] = [None] * n
+
+    def settle(done_rows: np.ndarray) -> None:
+        """Build the results of the finished batch rows ``done_rows``."""
+        mean_effort = battacker.mean_effort
+        for k in done_rows:
+            i = rows[k]
+            collision = batch.collision(k)
+            time_to_collision = None
+            if collision is not None and not np.isnan(first_attack_time[i]):
+                time_to_collision = collision.time - float(
+                    first_attack_time[i]
+                )
+            results[i] = EpisodeResult(
+                steps=int(batch.step_count[k]),
+                duration=float(batch.time[k]),
+                collision=collision,
+                passed_npcs=int(batch.passed_npcs[k]),
+                nominal_return=float(nominal_total[i]),
+                adversarial_return=float(adversarial_total[i]),
+                mean_effort=float(mean_effort[k]),
+                deviation_rmse=float(
+                    np.sqrt(deviation_sq_sum[i] / max(deviation_ticks[i], 1))
+                ),
+                deviation_max=float(deviation_max[i]),
+                time_to_collision=time_to_collision,
+            )
+
     tracer = get_tracer()
     batch_path = ""
     batch_start = time.perf_counter()
@@ -137,63 +171,74 @@ def run_episode_batch(
             batch_path = tracer.current_path()
         while not batch.all_done:
             live = ~batch.done
+            at = rows[live]
             plan = planner.update(batch)
             steer, thrust = actor.act_batch(batch)
             delta = battacker.deltas(batch)
             result = batch.tick(steer, thrust, steer_delta=delta)
 
             striking = live & (np.abs(delta) >= strike_level)
-            stamp = striking & np.isnan(first_attack_time)
-            first_attack_time[stamp] = result.time[stamp] - scenario.dt
+            stamp = striking & np.isnan(first_attack_time[rows])
+            first_attack_time[rows[stamp]] = result.time[stamp] - scenario.dt
 
             collided = result.collision_kind != KIND_NONE
             nominal_step = nominal_reward.step_batch(batch, plan, collided)
             adversarial_step = adversarial_reward.step_batch(
                 batch, delta, result.collision_kind
             )
-            nominal_total[live] += nominal_step[live]
-            adversarial_total[live] += adversarial_step[live]
+            nominal_total[at] += nominal_step[live]
+            adversarial_total[at] += adversarial_step[live]
 
             ego_s, ego_d, _ = batch.ego_frenet()
             deviation = (
                 np.abs(ego_d - plan.reference_offset(ego_s)) / lane_width
             )
-            deviation_sq_sum[live] += deviation[live] ** 2
-            deviation_max[live] = np.maximum(
-                deviation_max[live], deviation[live]
+            deviation_sq_sum[at] += deviation[live] ** 2
+            deviation_max[at] = np.maximum(
+                deviation_max[at], deviation[live]
             )
-            deviation_ticks[live] += 1
+            deviation_ticks[at] += 1
 
             is_active = live & (np.abs(delta) >= ACTIVE_THRESHOLD)
-            active_ticks[is_active] += 1
-            activations[is_active & ~previously_active] += 1
-            previously_active[live] = is_active[live]
+            active_ticks[rows[is_active]] += 1
+            activations[rows[is_active & ~previously_active[rows]]] += 1
+            previously_active[at] = is_active[live]
 
             if trace is not None:
                 gap = batch.nearest_npc_gap() if batch.m else None
-                for i in np.flatnonzero(live):
+                for k in np.flatnonzero(live):
+                    i = rows[k]
                     fields = dict(
                         episode=ids[i],
-                        tick=int(result.step[i]),
-                        t=float(result.time[i]),
-                        delta=float(delta[i]),
-                        x=float(batch.x[i, 0]),
-                        y=float(batch.y[i, 0]),
-                        yaw=float(batch.yaw[i, 0]),
-                        speed=float(batch.speed[i, 0]),
-                        reward_nominal=float(nominal_step[i]),
-                        reward_adversarial=float(adversarial_step[i]),
-                        lateral=float(deviation[i]),
+                        tick=int(result.step[k]),
+                        t=float(result.time[k]),
+                        delta=float(delta[k]),
+                        x=float(batch.x[k, 0]),
+                        y=float(batch.y[k, 0]),
+                        yaw=float(batch.yaw[k, 0]),
+                        speed=float(batch.speed[k, 0]),
+                        reward_nominal=float(nominal_step[k]),
+                        reward_adversarial=float(adversarial_step[k]),
+                        lateral=float(deviation[k]),
                     )
                     if gap is not None:
                         gap_fields(
                             fields,
-                            float(gap[i]),
+                            float(gap[k]),
                             float(previous_gap[i]),
                             scenario.dt,
                         )
-                        previous_gap[i] = gap[i]
+                        previous_gap[i] = gap[k]
                     trace.emit("tick", **fields)
+
+            running = ~batch.done
+            if 0 < 2 * np.count_nonzero(running) <= batch.n:
+                settle(np.flatnonzero(batch.done))
+                keep = np.flatnonzero(running)
+                for part in (batch, planner, actor, battacker):
+                    part.take(keep)
+                rows = rows[keep]
+        settle(np.arange(batch.n))
 
     if batch_path:
         # Scalar-path parity: credit each episode its share of the batch
@@ -202,7 +247,7 @@ def run_episode_batch(
         # the fairest per-episode attribution available without timing
         # each row separately (which the vectorized loop cannot do).
         batch_total = time.perf_counter() - batch_start
-        steps = np.maximum(batch.step_count.astype(float), 1.0)
+        steps = np.maximum([r.steps for r in results], 1.0)
         shares = steps / steps.sum()
         offset = batch_start
         for i in range(n):
@@ -215,33 +260,10 @@ def run_episode_batch(
             )
             offset += duration
 
-    results: list[EpisodeResult] = []
-    for i in range(n):
-        collision = batch.collision(i)
-        time_to_collision = None
-        if collision is not None and not np.isnan(first_attack_time[i]):
-            time_to_collision = collision.time - float(first_attack_time[i])
-        mean_effort = getattr(battacker, "mean_effort", 0.0)
-        if isinstance(mean_effort, np.ndarray):
-            mean_effort = float(mean_effort[i])
-        result = EpisodeResult(
-            steps=int(batch.step_count[i]),
-            duration=float(batch.time[i]),
-            collision=collision,
-            passed_npcs=int(batch.passed_npcs[i]),
-            nominal_return=float(nominal_total[i]),
-            adversarial_return=float(adversarial_total[i]),
-            mean_effort=float(mean_effort),
-            deviation_rmse=float(
-                np.sqrt(deviation_sq_sum[i] / max(deviation_ticks[i], 1))
-            ),
-            deviation_max=float(deviation_max[i]),
-            time_to_collision=time_to_collision,
-        )
+    for i, result in enumerate(results):
         finish_episode(
             result, trace, ids[i], int(activations[i]), int(active_ticks[i])
         )
-        results.append(result)
     if trace is not None:
         trace.flush()
     return results

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 from repro.obsv.loader import EpisodeTrace
@@ -120,10 +121,15 @@ class ReplayReport:
         return "\n".join(lines) + "\n"
 
 
-def _resolve_victim(name: str):
+def _resolve_victim(name: str, budget: float):
     from repro.agents.modular.agent import ModularAgent
     from repro.experiments import registry
 
+    pnn = re.fullmatch(r"pnn\(sigma=(\d+(?:\.\d+)?)\)", name)
+    if pnn is not None:
+        # The Simplex switcher is informed of the episode's attack budget.
+        sigma = float(pnn.group(1))
+        return lambda world: registry.pnn_victim(world, sigma, budget)
     if name == "modular":
         return lambda world: ModularAgent(world.road)
     if name == "end-to-end":
@@ -134,7 +140,8 @@ def _resolve_victim(name: str):
         return registry.finetuned_victim_rho2
     raise ReplayError(
         f"victim {name!r} is not replayable by name; supported: modular,"
-        " end-to-end, adv-finetuned(rho=1/11), adv-finetuned(rho=1/2)"
+        " end-to-end, adv-finetuned(rho=1/11), adv-finetuned(rho=1/2),"
+        " pnn(sigma=...)"
     )
 
 
@@ -241,7 +248,7 @@ def replay_episode(
     if seed is None:
         raise ReplayError("episode_start carries no seed")
     budget = episode.budget if episode.budget is not None else 1.0
-    victim_factory = _resolve_victim(episode.victim)
+    victim_factory = _resolve_victim(episode.victim, budget)
     attacker = _resolve_attacker(episode.attacker, budget, episode.victim)
 
     tolerances = dict(tolerances or DEFAULT_TOLERANCES)

@@ -237,6 +237,8 @@ class Tensor:
                 FLOP_HOOK.matmul(
                     *_matmul_dims(self.data.shape, other.data.shape),
                     backward=True,
+                    grad_a=self_needs,
+                    grad_b=other_needs,
                 )
             if self_needs:
                 self._accumulate(grad @ other.data.T)

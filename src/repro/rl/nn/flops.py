@@ -96,20 +96,28 @@ class FlopCounter:
         flop_counter.inc(flops)
         byte_counter.inc(nbytes)
 
-    def matmul(self, m: int, k: int, n: int, backward: bool = False) -> None:
-        """One ``[m,k] @ [k,n]`` product (or its two backward products)."""
-        if backward:
-            self._record(
-                "matmul_bwd",
-                4.0 * m * k * n,
-                _ITEMSIZE * (3.0 * m * n + 2.0 * m * k + 2.0 * k * n),
-            )
-        else:
-            self._record(
-                "matmul_fwd",
-                2.0 * m * k * n,
-                _ITEMSIZE * (m * k + k * n + m * n),
-            )
+    def matmul(
+        self,
+        m: int,
+        k: int,
+        n: int,
+        backward: bool = False,
+        grad_a: bool = True,
+        grad_b: bool = True,
+    ) -> None:
+        """One ``[m,k] @ [k,n]`` product, or its backward products.
+
+        Backward books ``grad @ B.T`` when ``grad_a`` and ``A.T @ grad``
+        when ``grad_b`` (autograd computes only the gradients of operands
+        that need one); each costs what a forward product of its shape
+        costs.
+        """
+        products = (grad_a + grad_b) if backward else 1
+        self._record(
+            "matmul_bwd" if backward else "matmul_fwd",
+            products * 2.0 * m * k * n,
+            products * _ITEMSIZE * (m * k + k * n + m * n),
+        )
 
     def elementwise(self, op: str, count: int) -> None:
         """``count`` one-FLOP-per-element operations (add, relu, tanh...)."""

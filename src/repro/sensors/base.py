@@ -75,6 +75,10 @@ class FrameStack(Sensor):
         self._frames = []
         self.inner.reset()
 
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the batch frames of episodes ``rows``, in that order."""
+        self._frames = [frame[rows] for frame in self._frames]
+
     @property
     def observation_dim(self) -> int:
         return self.k * self.inner.observation_dim

@@ -95,6 +95,11 @@ class Imu(Sensor):
             self._batch_window = joined[:, :, -window:]
         return self._batch_window.reshape(batch.n, -1)
 
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the batch windows of episodes ``rows``, in that order."""
+        if self._batch_window is not None:
+            self._batch_window = self._batch_window[rows]
+
     def _padded(self, buffer: deque[float]) -> np.ndarray:
         window = self.config.window
         data = np.zeros(window)

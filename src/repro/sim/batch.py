@@ -13,7 +13,15 @@ re-expresses the same physics over ``[N, ...]`` numpy arrays so one
   are all evaluated as whole-batch array expressions;
 * finished episodes are *frozen* via a per-episode ``done`` mask — their
   rows stop updating while the batch continues, so every episode sees
-  exactly the trajectory it would have seen running alone.
+  exactly the trajectory it would have seen running alone — and
+  :meth:`BatchWorld.take` drops them: the episode runner keeps only the
+  live rows once at most half of the batch is still running;
+* the collision check culls ego–NPC pairs farther apart than their
+  padded circumradius sum (:func:`~repro.sim.collision.contact_reach`)
+  and runs the separating-axis test on the rest only;
+* the Frenet projections of the ego and the NPCs are computed once per
+  world state and shared, read-only, by every caller until the next
+  ``tick`` or ``take``.
 
 Determinism contract: the batch engine evaluates the same formulas as the
 scalar world in the same order, but through numpy's SIMD kernels
@@ -36,6 +44,7 @@ from repro.sim.collision import (
     _REAR_SECTOR,
     Collision,
     CollisionKind,
+    contact_reach,
 )
 from repro.sim.config import EPSILON_MECH, ScenarioConfig
 from repro.sim.npc import LaneKeepGains
@@ -59,10 +68,54 @@ _KIND_TO_ENUM = {
 
 _TWO_PI = 2.0 * math.pi
 
+#: The per-episode arrays of a :class:`BatchWorld`, gathered by ``take``.
+_ROW_STATE = (
+    "x",
+    "y",
+    "yaw",
+    "speed",
+    "steer_act",
+    "thrust_act",
+    "npc_lane",
+    "npc_target_speed",
+    "_npc_lane_offset",
+    "step_count",
+    "time",
+    "done",
+    "passed",
+    "collision_kind",
+    "collision_other",
+    "collision_step",
+    "collision_time",
+)
+
 
 def _normalize_angles(angles: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.utils.geometry.normalize_angle`."""
     return (angles + math.pi) % _TWO_PI - math.pi
+
+
+def _max4(p: np.ndarray) -> np.ndarray:
+    """Maxima over a last axis of length 4 (numpy's reduction is slow on
+    tiny axes)."""
+    return np.maximum(
+        np.maximum(p[..., 0], p[..., 1]), np.maximum(p[..., 2], p[..., 3])
+    )
+
+
+def _min4(p: np.ndarray) -> np.ndarray:
+    """Minima over a last axis of length 4."""
+    return np.minimum(
+        np.minimum(p[..., 0], p[..., 1]), np.minimum(p[..., 2], p[..., 3])
+    )
+
+
+def _read_only(arrays) -> tuple[np.ndarray, ...]:
+    """The arrays as a tuple, each flagged read-only."""
+    arrays = tuple(arrays)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -155,11 +208,15 @@ class BatchWorld:
                 [half_l, -half_w],
             ]
         )
+        #: Squared centre distance beyond which no ego-NPC pair can touch.
+        self._reach_sq = contact_reach(cfg, cfg) ** 2
         # Signed lateral offset of each NPC's lane center, [N, M].
         centre = (road.config.n_lanes - 1) / 2.0
         self._npc_lane_offset = (
             (self.npc_lane - centre) * road.config.lane_width
         )
+        #: Frenet projections of the current world state, by actor group.
+        self._frenet: dict[str, tuple[np.ndarray, ...]] = {}
 
     # -- ticking -----------------------------------------------------------
 
@@ -258,6 +315,7 @@ class BatchWorld:
             self.speed[active] = speed[active]
             self.steer_act[active] = steer_act[active]
             self.thrust_act[active] = thrust_act[active]
+            self._frenet = {}
             if self._imu.shape == imu.shape:
                 np.copyto(self._imu, imu, where=active[None, :, None])
             else:  # first tick: every row is live
@@ -270,7 +328,7 @@ class BatchWorld:
             self.step_count[active] += 1
             self.time[active] += cfg.dt
 
-            kind, other = self._detect_collisions()
+            kind, other = self._detect_collisions(active)
             new_hit = active & (kind != KIND_NONE)
             if new_hit.any():
                 registry = get_registry()
@@ -285,7 +343,7 @@ class BatchWorld:
                     ).inc()
 
             ego_s, _, _ = self.ego_frenet()
-            npc_s = self._npc_s()
+            npc_s, _, _ = self.npc_frenet()
             overtaken = (
                 ego_s[:, None] > npc_s + vcfg.length
             )
@@ -314,12 +372,7 @@ class BatchWorld:
         if self.m == 0:
             empty = np.zeros((self.n, 0))
             return empty, empty
-        pts = np.stack(
-            [self.x[:, 1:].ravel(), self.y[:, 1:].ravel()], axis=1
-        )
-        _, d, lane_yaw = self.road.frenet_batch(pts)
-        d = d.reshape(self.n, self.m)
-        lane_yaw = lane_yaw.reshape(self.n, self.m)
+        _, d, lane_yaw = self.npc_frenet()
         cross_track = d - self._npc_lane_offset
         heading_error = _normalize_angles(self.yaw[:, 1:] - lane_yaw)
         g = self.gains
@@ -337,71 +390,55 @@ class BatchWorld:
 
     # -- collision detection -----------------------------------------------
 
-    def _corners(self) -> np.ndarray:
-        """World-frame footprint corners of every actor, [N, A, 4, 2]."""
-        cos, sin = np.cos(self.yaw), np.sin(self.yaw)
-        lx = self._corner_local[:, 0]
-        ly = self._corner_local[:, 1]
-        cx = (
-            lx[None, None, :] * cos[:, :, None]
-            - ly[None, None, :] * sin[:, :, None]
-            + self.x[:, :, None]
-        )
-        cy = (
-            lx[None, None, :] * sin[:, :, None]
-            + ly[None, None, :] * cos[:, :, None]
-            + self.y[:, :, None]
-        )
-        return np.stack([cx, cy], axis=-1)
+    def _corners(
+        self, x: np.ndarray, y: np.ndarray, cos: np.ndarray, sin: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """World-frame footprint corners ``(cx, cy)``, ``[..., 4]`` each,
+        of boxes centred at ``x, y`` with headings of cosine/sine
+        ``cos, sin``, in the corner order of ``OrientedBox.corners``."""
+        lx, ly = self._corner_local[:, 0], self._corner_local[:, 1]
+        cos, sin = cos[..., None], sin[..., None]
+        cx = lx * cos - ly * sin + x[..., None]
+        cy = lx * sin + ly * cos + y[..., None]
+        return cx, cy
 
-    def _detect_collisions(self) -> tuple[np.ndarray, np.ndarray]:
-        """First collision per episode: ``(kind[N], other[N])`` arrays.
+    def _detect_collisions(
+        self, active: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """First collision of each ``active`` episode: ``(kind[N],
+        other[N])`` arrays, :data:`KIND_NONE` / -1 in the other rows.
 
         Mirrors the scalar ``World._detect_collision``: NPCs are tested in
         spawn order (the lowest-index overlapping NPC wins), the barrier
-        only when no vehicle contact exists.
+        only when no vehicle contact exists. Only pairs within
+        :func:`~repro.sim.collision.contact_reach` reach the
+        separating-axis test.
         """
         kind = np.zeros(self.n, dtype=np.int8)
         other = np.full(self.n, -1, dtype=int)
-        corners = self._corners()
-        ego_corners = corners[:, 0]  # [N, 4, 2]
+        cos, sin = np.cos(self.yaw), np.sin(self.yaw)
+        ego_x, ego_y = self.x[:, 0], self.y[:, 0]
+        ego_cx, ego_cy = self._corners(ego_x, ego_y, cos[:, 0], sin[:, 0])
         if self.m > 0:
-            npc_corners = corners[:, 1:]  # [N, M, 4, 2]
-            # SAT axes: ego's two face normals + each NPC's two, mirroring
-            # OrientedBox.axes (heading_vector(yaw) and yaw + pi/2).
-            hit = np.ones((self.n, self.m), dtype=bool)
-            for yaw_src, owner in (
-                (self.yaw[:, :1], "ego"),
-                (self.yaw[:, 1:], "npc"),
-            ):
-                for offset in (0.0, math.pi / 2.0):
-                    a = yaw_src + offset
-                    axis = np.stack([np.cos(a), np.sin(a)], axis=-1)
-                    if owner == "ego":
-                        axis = np.broadcast_to(
-                            axis, (self.n, self.m, 2)
-                        )
-                    # Projections of both footprints on the axis, [N, M, 4].
-                    proj_e = np.einsum(
-                        "nkj,nmj->nmk", ego_corners, axis
-                    )
-                    proj_o = np.einsum(
-                        "nmkj,nmj->nmk", npc_corners, axis
-                    )
-                    separated = (
-                        proj_e.max(axis=2) < proj_o.min(axis=2)
-                    ) | (proj_o.max(axis=2) < proj_e.min(axis=2))
-                    hit &= ~separated
-            any_hit = hit.any(axis=1)
-            if any_hit.any():
-                first = np.argmax(hit, axis=1)
-                rows = np.flatnonzero(any_hit)
-                cols = first[rows]
-                dx = self.x[rows, 1 + cols] - self.x[rows, 0]
-                dy = self.y[rows, 1 + cols] - self.y[rows, 0]
+            dx = self.x[:, 1:] - ego_x[:, None]
+            dy = self.y[:, 1:] - ego_y[:, None]
+            # Row-major: each row's pairs come in NPC spawn order.
+            near = (dx * dx + dy * dy <= self._reach_sq) & active[:, None]
+            rows, cols = np.nonzero(near)
+            if rows.size:
+                touching = self._separating_axis(
+                    rows, cols, ego_cx, ego_cy, cos, sin
+                )
+                rows, cols = rows[touching], cols[touching]
+            if rows.size:
+                # The first (lowest-index) contact of each row.
+                first = np.ones(len(rows), dtype=bool)
+                first[1:] = rows[1:] != rows[:-1]
+                rows, cols = rows[first], cols[first]
                 bearing = np.abs(
                     _normalize_angles(
-                        np.arctan2(dy, dx) - self.yaw[rows, 0]
+                        np.arctan2(dy[rows, cols], dx[rows, cols])
+                        - self.yaw[rows, 0]
                     )
                 )
                 k = np.full(len(rows), KIND_SIDE, dtype=np.int8)
@@ -411,17 +448,64 @@ class BatchWorld:
                 other[rows] = cols
         # Barrier: any ego footprint corner beyond the roadside barriers,
         # only where no vehicle collision was found.
-        clear = kind == KIND_NONE
+        clear = active & (kind == KIND_NONE)
         if clear.any():
-            flat = ego_corners.reshape(-1, 2)
-            _, d, _ = self.road.frenet_batch(flat)
-            off = (
-                np.abs(d.reshape(self.n, 4)) >= self.road.barrier_offset
-            ).any(axis=1)
-            barrier = clear & off
-            kind[barrier] = KIND_BARRIER
-            other[barrier] = -1
+            flat = np.stack([ego_cx[clear], ego_cy[clear]], axis=-1)
+            _, d, _ = self.road.frenet_batch(flat.reshape(-1, 2))
+            off = (np.abs(d.reshape(-1, 4)) >= self.road.barrier_offset).any(
+                axis=1
+            )
+            kind[np.flatnonzero(clear)[off]] = KIND_BARRIER
         return kind, other
+
+    def _separating_axis(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        ego_cx: np.ndarray,
+        ego_cy: np.ndarray,
+        cos: np.ndarray,
+        sin: np.ndarray,
+    ) -> np.ndarray:
+        """Whether the ego of row ``rows[k]`` touches its NPC ``cols[k]``.
+
+        The separating-axis test of ``OrientedBox.intersects`` on the
+        ``K`` gathered pairs, over both boxes' face normals at once.
+        """
+        npc = 1 + cols
+        ocx, ocy = self._corners(
+            self.x[rows, npc], self.y[rows, npc], cos[rows, npc], sin[rows, npc]
+        )
+        heading = np.stack([self.yaw[rows, 0], self.yaw[rows, npc]], axis=1)
+        normal = heading + math.pi / 2.0
+        # Axis components [K, 4, 1]: both headings, then both normals.
+        ax = np.concatenate(
+            [cos[rows, 0, None], cos[rows, npc, None], np.cos(normal)], axis=1
+        )[:, :, None]
+        ay = np.concatenate(
+            [sin[rows, 0, None], sin[rows, npc, None], np.sin(normal)], axis=1
+        )[:, :, None]
+        # Corner projections on every axis, [K, axis, corner].
+        ego_p = ego_cx[rows, None, :] * ax + ego_cy[rows, None, :] * ay
+        npc_p = ocx[:, None, :] * ax + ocy[:, None, :] * ay
+        separated = (_max4(ego_p) < _min4(npc_p)) | (
+            _max4(npc_p) < _min4(ego_p)
+        )
+        return ~separated.any(axis=1)
+
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only the episodes ``rows``, in that order.
+
+        Row ``k`` afterwards is the old row ``rows[k]``, with all of its
+        state and bookkeeping; the other episodes are dropped.
+        """
+        rows = np.asarray(rows, dtype=int)
+        for name in _ROW_STATE:
+            setattr(self, name, getattr(self, name)[rows])
+        self._imu = self._imu[:, rows]
+        self.imu_accel_long, self.imu_accel_lat, self.imu_yaw_rate = self._imu
+        self.n = len(rows)
+        self._frenet = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -454,18 +538,31 @@ class BatchWorld:
         )
 
     def ego_frenet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ego ``(s, d, tangent_yaw)`` arrays on the road reference line."""
-        return self.road.frenet_batch(self.ego_position)
+        """Ego ``(s, d, tangent_yaw)`` arrays on the road reference line.
 
-    def _npc_s(self) -> np.ndarray:
-        """NPC arc-length positions, ``[N, M]``."""
-        if self.m == 0:
-            return np.zeros((self.n, 0))
-        pts = np.stack(
-            [self.x[:, 1:].ravel(), self.y[:, 1:].ravel()], axis=1
-        )
-        s, _, _ = self.road.frenet_batch(pts)
-        return s.reshape(self.n, self.m)
+        Computed once per world state; the read-only arrays are shared by
+        every caller until the next ``tick`` or ``take``.
+        """
+        cached = self._frenet.get("ego")
+        if cached is None:
+            cached = self._frenet["ego"] = _read_only(
+                self.road.frenet_batch(self.ego_position)
+            )
+        return cached
+
+    def npc_frenet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """NPC ``(s, d, tangent_yaw)`` arrays, ``[N, M]`` each, shared and
+        read-only like :meth:`ego_frenet`."""
+        cached = self._frenet.get("npc")
+        if cached is None:
+            pts = np.stack(
+                [self.x[:, 1:].ravel(), self.y[:, 1:].ravel()], axis=1
+            )
+            cached = self._frenet["npc"] = _read_only(
+                part.reshape(self.n, self.m)
+                for part in self.road.frenet_batch(pts)
+            )
+        return cached
 
     def nearest_npc_index(self) -> np.ndarray:
         """Index of the Euclidean-closest NPC per episode, ``[N]``."""

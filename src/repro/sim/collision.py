@@ -12,6 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from repro.sim.config import VehicleConfig
 from repro.sim.road import Road
 from repro.sim.vehicle import Vehicle
 from repro.utils.geometry import normalize_angle
@@ -72,8 +73,26 @@ def classify_vehicle_collision(ego: Vehicle, other: Vehicle) -> CollisionKind:
     return CollisionKind.SIDE
 
 
+def contact_reach(a: VehicleConfig, b: VehicleConfig) -> float:
+    """Centre distance beyond which two footprints cannot touch.
+
+    The sum of the two circumradii, padded (relative 1e-6 plus 1e-9 m) so
+    that rounding can never cull a pair the separating-axis test would
+    call touching. Both engines cull with it before that test.
+    """
+    radii = math.hypot(a.length / 2.0, a.width / 2.0) + math.hypot(
+        b.length / 2.0, b.width / 2.0
+    )
+    return radii * (1.0 + 1e-6) + 1e-9
+
+
 def check_vehicle_pair(ego: Vehicle, other: Vehicle) -> CollisionKind | None:
     """Overlap test + classification; ``None`` when not in contact."""
+    dx = other.state.x - ego.state.x
+    dy = other.state.y - ego.state.y
+    reach = contact_reach(ego.config, other.config)
+    if dx * dx + dy * dy > reach * reach:
+        return None
     if not ego.footprint().intersects(other.footprint()):
         return None
     return classify_vehicle_collision(ego, other)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.injection import (
     ACTIVE_THRESHOLD,
+    BatchInjectionChannel,
     InjectionChannel,
     InjectionChannelConfig,
 )
@@ -93,3 +94,35 @@ class TestEffortAccounting:
         channel.inject(0.5)
         channel.inject(0.5)
         assert channel.mean_effort == pytest.approx(0.5)
+
+
+class TestBatchTake:
+    def test_taken_lanes_continue_like_scalar_channels(self):
+        """After ``take`` each kept lane carries on with its own effort
+        counters and noise stream, like a scalar channel fed its actions."""
+        config = InjectionChannelConfig(budget=0.5, noise_std=0.05)
+        actions = np.random.default_rng(0).uniform(-1.0, 1.0, (12, 4))
+        scalars = [
+            InjectionChannel(config, rng=np.random.default_rng(seed))
+            for seed in range(4)
+        ]
+        lanes = BatchInjectionChannel(
+            config, n=4, rngs=[np.random.default_rng(s) for s in range(4)]
+        )
+        active = np.ones(4, dtype=bool)
+        for step in actions[:6]:
+            lanes.inject(step, active)
+            for channel, action in zip(scalars, step):
+                channel.inject(action)
+        keep = np.array([3, 1])
+        lanes.take(keep)
+        assert lanes.n == 2
+        for step in actions[6:]:
+            got = lanes.inject(step[keep], np.ones(2, dtype=bool))
+            want = [scalars[i].inject(step[i]) for i in keep]
+            assert got.tolist() == pytest.approx(want, abs=1e-15)
+        for k, i in enumerate(keep):
+            assert lanes.mean_effort[k] == pytest.approx(
+                scalars[i].mean_effort, abs=1e-15
+            )
+            assert lanes.steps[k] == scalars[i].steps

@@ -560,6 +560,80 @@ class TestSharedRaster:
         assert counts["render"] == counts["tick"]
 
 
+class TestCompaction:
+    """Once at most half of the batch is live, ``run_episode_batch``
+    gathers the live rows into a smaller batch; results, traces and
+    per-row effort must not notice."""
+
+    #: Seeds 0-7 end at mixed lengths in each case, so the batch
+    #: compacts at least twice.
+    CASES = [
+        ("modular", "camera", 0.5),
+        ("e2e", "camera", 1.0),
+        ("modular", "imu", 1.0),
+        ("modular", "oracle", 1.0),
+        ("simplex", "none", 0.5),
+    ]
+
+    @pytest.mark.parametrize("victim, attacker, budget", CASES)
+    def test_compacted_batch_matches_scalar(
+        self, victim, attacker, budget, monkeypatch
+    ):
+        monkeypatch.setattr(camera_mod, "_last_frame", None)
+        sizes, renders = [], [0]
+        tick, render_batch = BatchWorld.tick, BevCamera.render_batch
+
+        def counting_tick(self, *args, **kwargs):
+            sizes.append(self.n)
+            return tick(self, *args, **kwargs)
+
+        def counting_render(self, batch):
+            renders[0] += 1
+            return render_batch(self, batch)
+
+        monkeypatch.setattr(BatchWorld, "tick", counting_tick)
+        monkeypatch.setattr(BevCamera, "render_batch", counting_render)
+        seeds = list(range(8))
+        scalar, batched = assert_equivalent(
+            tiny_victim_factory(victim, budget, 0.2),
+            tiny_attacker_factory(attacker, budget),
+            seeds=seeds,
+        )
+
+        # The batch shrank at least twice, each time to at most half,
+        # and it stepped fewer rows than the frozen-row loop would have.
+        shrinks = [(a, b) for a, b in zip(sizes, sizes[1:]) if a != b]
+        assert len(shrinks) >= 2
+        assert all(0 < 2 * b <= a for a, b in shrinks)
+        assert sizes[0] == len(seeds)
+        assert sum(sizes) < len(seeds) * len(sizes)
+        longest = max(r.steps for r in scalar)
+        assert len(sizes) == longest
+        # One raster per lockstep iteration, whatever the batch size.
+        uses_camera = attacker == "camera" or victim != "modular"
+        assert renders[0] == (len(sizes) if uses_camera else 0)
+        if attacker in ("camera", "imu"):
+            # Efforts differ per row, so a row mix-up would show.
+            assert len({round(r.mean_effort, 9) for r in batched}) > 1
+
+    def test_trace_keeps_seed_order(self):
+        writer = TraceWriter()
+        seeds = [5, 3, 7, 0, 1, 6, 2, 4]
+        run_episode_batch(
+            tiny_victim_factory("modular", 1.0, 0.2),
+            attacker=OracleAttacker(budget=1.0),
+            seeds=seeds,
+            trace=writer,
+        )
+        ends = [e["episode"] for e in writer.events
+                if e["event"] == "episode_end"]
+        assert ends == seeds
+        for seed, ticks in _ticks_by_episode(writer).items():
+            assert [t["tick"] for t in ticks] == list(
+                range(1, len(ticks) + 1)
+            ), seed
+
+
 class _OddVictim(ModularAgent):
     """A subclass with its own ``act`` (no batched twin: runs scalar)."""
 

@@ -216,6 +216,21 @@ class TestFlopAccounting:
         assert counter.flops["relu_bwd"] == pytest.approx(6.0)
         assert autograd.FLOP_HOOK is None
 
+    @pytest.mark.parametrize("frozen", ["a", "b"])
+    def test_backward_books_only_computed_products(self, frozen):
+        counter = FlopCounter()
+        counter.enable()
+        try:
+            a = autograd.Tensor(np.ones((3, 4)), requires_grad=frozen != "a")
+            b = autograd.Tensor(np.ones((4, 2)), requires_grad=frozen != "b")
+            (a @ b).backward(np.ones((3, 2)))
+        finally:
+            counter.disable()
+        # One gradient product ran: grad @ B.T or A.T @ grad, not both.
+        assert counter.flops["matmul_bwd"] == pytest.approx(2 * 3 * 4 * 2)
+        assert counter.flops["matmul_bwd"] == counter.flops["matmul_fwd"]
+        assert counter.bytes["matmul_bwd"] == counter.bytes["matmul_fwd"]
+
     def test_forward_np_fast_path_counts(self):
         counter = FlopCounter()
         mlp = Mlp((6, 16, 3))

@@ -4,8 +4,9 @@ import pytest
 
 from repro.agents.modular import ModularAgent
 from repro.core.attackers import NullAttacker, OracleAttacker
-from repro.eval.episodes import run_episode
+from repro.eval.episodes import run_episode, run_episodes
 from repro.eval.recorder import record_episode
+from repro.experiments import registry
 from repro.obsv import ReplayError, replay_episode, split_episodes
 from repro.telemetry.trace import TraceWriter
 
@@ -71,6 +72,37 @@ class TestReplayFidelity:
         episode.ticks[5]["speed"] += 1e-4
         monkeypatch.setenv("REPRO_OBSV_TOLERANCE", "0.01")
         assert replay_episode(episode).ok
+
+
+@pytest.mark.skipif(
+    not all(
+        registry.has_artifact(name)
+        for name in (
+            registry.E2E_DRIVER,
+            registry.PNN_COLUMN,
+            registry.CAMERA_ATTACKER_E2E,
+        )
+    ),
+    reason="shipped artifacts missing; run examples/train_all.py",
+)
+@pytest.mark.parametrize("sigma, budget", [(0.2, 0.5), (0.4, 0.0)])
+def test_lockstep_pnn_cell_replays(sigma, budget):
+    """A Fig. 7 cell recorded by the lockstep engine replays by name: the
+    PNN victim is rebuilt with the episode's recorded budget."""
+    writer = TraceWriter()
+    run_episodes(
+        lambda world: registry.pnn_victim(world, sigma, budget),
+        (lambda: registry.camera_attacker(budget)) if budget else None,
+        n_episodes=3,
+        seed=0,
+        trace=writer,
+    )
+    episodes = split_episodes(writer.events)
+    assert len(episodes) == 3
+    for episode in episodes:
+        assert episode.victim == f"pnn(sigma={sigma})"
+        report = replay_episode(episode)
+        assert report.ok, report.to_markdown()
 
 
 class TestReplayErrors:

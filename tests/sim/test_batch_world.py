@@ -189,6 +189,29 @@ class TestQueries:
             )
             assert gaps[i] == pytest.approx(gap, abs=1e-9)
 
+    def test_frenet_is_shared_read_only_until_tick(self):
+        batch = make_batch_world(ScenarioConfig(), seeds=SEEDS)
+        ego, npc = batch.ego_frenet(), batch.npc_frenet()
+        assert batch.ego_frenet() is ego and batch.npc_frenet() is npc
+        fresh = batch.road.frenet_batch(batch.ego_position)
+        for got, want in zip(ego, fresh):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+        pts = np.stack([batch.x[:, 1:].ravel(), batch.y[:, 1:].ravel()], 1)
+        assert np.array_equal(
+            npc[1], batch.road.frenet_batch(pts)[1].reshape(batch.n, batch.m)
+        )
+        batch.tick(np.zeros(batch.n), np.ones(batch.n))
+        moved = batch.ego_frenet()
+        assert moved is not ego
+        assert np.array_equal(
+            moved[0], batch.road.frenet_batch(batch.ego_position)[0]
+        )
+        batch.take(np.array([1]))
+        assert batch.ego_frenet()[0].shape == (1,)
+        assert batch.npc_frenet()[0].shape == (1, batch.m)
+
     def test_explicit_state_constructor(self):
         cfg = ScenarioConfig()
         road = make_world(cfg).road
@@ -205,3 +228,31 @@ class TestQueries:
         )
         assert batch.n == n and batch.m == m
         assert not batch.all_done
+
+
+class TestTake:
+    def test_taken_rows_continue_like_the_full_batch(self):
+        """Row ``k`` after ``take(rows)`` is the old row ``rows[k]``: same
+        state and bookkeeping, and the same trajectory from then on."""
+        cfg = ScenarioConfig()
+        full = make_batch_world(cfg, seeds=SEEDS)
+        part = make_batch_world(cfg, seeds=SEEDS)
+        scripts = np.stack([_scripted_controls(s, 60) for s in SEEDS], axis=1)
+        keep = np.array([3, 0])
+        for t, controls in enumerate(scripts):
+            if t == 20:
+                part.take(keep)
+            rows = keep if t >= 20 else slice(None)
+            steer, thrust, delta = controls.T
+            full.tick(steer, thrust, steer_delta=delta)
+            part.tick(steer[rows], thrust[rows], steer_delta=delta[rows])
+            if full.done[keep].all():
+                break
+        assert part.n == len(keep)
+        for name in ("x", "y", "yaw", "speed", "steer_act", "thrust_act",
+                     "step_count", "time", "done", "passed",
+                     "collision_kind", "collision_other", "collision_step",
+                     "collision_time", "imu_accel_long", "imu_yaw_rate"):
+            assert np.array_equal(
+                getattr(part, name), getattr(full, name)[keep]
+            ), name
